@@ -9,9 +9,6 @@
 //                 relay-scaling section with Config::worker_lanes = n.
 //                 Unset (0) keeps the default paper-model output unchanged,
 //                 so the checked-in baselines never see this section.
-//   --tun-queues=<n>  with --lanes: run the sweep with Config::tun_queues = n
-//                 and pure-ACK coalescing on (thread model v4). Unset (0)
-//                 keeps the single shared tun fd of thread model v3.
 #ifndef MOPEYE_BENCH_BENCH_UTIL_H_
 #define MOPEYE_BENCH_BENCH_UTIL_H_
 
@@ -32,7 +29,6 @@ struct Flags {
   double scale = 1.0;
   uint64_t seed = 20160516;
   int lanes = 0;  // 0 = flag not given; benches keep their default output
-  int tun_queues = 0;  // 0 = flag not given; sweep keeps the shared fd (v3)
   // table3 --lanes mode: write the final sweep run's stage-histogram summary
   // (count/sum/p50/p95/p99 per stage) as JSON here, for tools/perf_gate.py.
   std::string stage_json;
@@ -48,13 +44,10 @@ inline Flags ParseFlags(int argc, char** argv) {
       f.seed = static_cast<uint64_t>(std::atoll(arg + 7));
     } else if (std::strncmp(arg, "--lanes=", 8) == 0) {
       f.lanes = std::atoi(arg + 8);
-    } else if (std::strncmp(arg, "--tun-queues=", 13) == 0) {
-      f.tun_queues = std::atoi(arg + 13);
     } else if (std::strncmp(arg, "--stage-json=", 13) == 0) {
       f.stage_json = arg + 13;
     } else if (std::strcmp(arg, "--help") == 0) {
-      std::printf(
-          "flags: --scale=<f> --seed=<n> --lanes=<n> --tun-queues=<n> --stage-json=<path>\n");
+      std::printf("flags: --scale=<f> --seed=<n> --lanes=<n> --stage-json=<path>\n");
       std::exit(0);
     }
   }

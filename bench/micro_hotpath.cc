@@ -11,11 +11,8 @@
 #include <unordered_map>
 #include <vector>
 
-#include "android/tun_device.h"
 #include "baselines/presets.h"
 #include "concurrent/packet_queue.h"
-#include "core/ack_coalesce.h"
-#include "concurrent/spsc_ring.h"
 #include "core/tcp_state_machine.h"
 #include "netpkt/checksum.h"
 #include "netpkt/dns.h"
@@ -469,111 +466,6 @@ void BM_QueueDrainBurst(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kBurst);
 }
 BENCHMARK(BM_QueueDrainBurst)->Arg(0)->Arg(1)->ArgNames({"takeall"});
-
-// The gather-tail coalescing decision (thread model v4): for each emitted
-// pure ACK, compare its GatherMeta against the buffer tail and either
-// replace the tail (same flow, superseded cumulative ACK) or append. Arg 0
-// is an ACK run split across flows (never coalesces — the miss path); arg 1
-// is a same-flow run (always coalesces — the hit path).
-void BM_AckCoalesce(benchmark::State& state) {
-  const bool same_flow = state.range(0) != 0;
-  constexpr size_t kRun = 64;
-  std::vector<mopeye::GatherMeta> metas(kRun);
-  for (size_t i = 0; i < kRun; ++i) {
-    moppkt::TcpSegmentSpec spec;
-    spec.src_port = 443;
-    spec.dst_port = same_flow ? 40000 : static_cast<uint16_t>(40000 + i);
-    spec.seq = 5001;
-    spec.ack = 101 + static_cast<uint32_t>(i) * 1460;
-    spec.flags = moppkt::AckFlag();
-    moppkt::FlowKey flow = BenchFlow();
-    flow.local.port = spec.dst_port;
-    metas[i] = mopeye::MetaForSpec(flow, spec);
-  }
-  std::vector<mopeye::GatherMeta> gather;
-  gather.reserve(kRun);
-  uint64_t coalesced = 0;
-  for (auto _ : state) {
-    gather.clear();
-    for (const auto& meta : metas) {
-      if (!gather.empty() && mopeye::AckSupersedes(gather.back(), meta)) {
-        gather.back() = meta;
-        ++coalesced;
-      } else {
-        gather.push_back(meta);
-      }
-    }
-    benchmark::DoNotOptimize(gather.size());
-  }
-  state.counters["coalesced_per_run"] =
-      state.iterations() > 0
-          ? static_cast<double>(coalesced) / static_cast<double>(state.iterations())
-          : 0;
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * kRun);
-}
-BENCHMARK(BM_AckCoalesce)->Arg(0)->Arg(1)->ArgNames({"same_flow"});
-
-// Multi-queue tun fan-out + round-robin drain (thread model v4): inject a
-// 64-packet burst of 16 distinct flows (flow-hash classified onto the
-// queues) and drain it with one ReadOutgoingBurst sweep. Arg = attached
-// queue count; 1 is the paper's single shared fd.
-void BM_QueueFlush(benchmark::State& state) {
-  const size_t queues = static_cast<size_t>(state.range(0));
-  constexpr size_t kBurst = 64;
-  constexpr size_t kFlows = 16;
-  moppkt::BufPool pool;
-  std::vector<std::vector<uint8_t>> wires;
-  for (size_t i = 0; i < kFlows; ++i) {
-    moppkt::TcpSegmentSpec spec;
-    spec.src_port = static_cast<uint16_t>(40000 + i);
-    spec.dst_port = 443;
-    spec.seq = 101;
-    spec.ack = 5001;
-    spec.flags = moppkt::AckFlag();
-    wires.push_back(moppkt::BuildTcpDatagram(spec, moppkt::IpAddr(10, 0, 0, 2),
-                                             moppkt::IpAddr(93, 1, 2, 3)));
-  }
-  mopsim::EventLoop loop;
-  mopdroid::TunDevice tun(&loop);
-  if (queues > 1) {
-    tun.ConfigureQueues(queues);
-  }
-  std::vector<mopdroid::TunDevice::OutPacket> burst;
-  burst.reserve(kBurst);
-  for (auto _ : state) {
-    for (size_t i = 0; i < kBurst; ++i) {
-      tun.InjectOutgoing(pool.AcquireCopy(wires[i % kFlows]));
-    }
-    burst.clear();
-    while (tun.ReadOutgoingBurst(kBurst, &burst) > 0) {
-      burst.clear();
-    }
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * kBurst);
-}
-BENCHMARK(BM_QueueFlush)->Arg(1)->Arg(8)->ArgNames({"queues"});
-
-void BM_SpscRingPushPop(benchmark::State& state) {
-  mopcc::SpscRing<int> ring(4096);
-  std::atomic<bool> stop{false};
-  std::thread consumer([&] {
-    while (!stop.load(std::memory_order_acquire)) {
-      benchmark::DoNotOptimize(ring.Pop());
-    }
-    while (ring.Pop().has_value()) {
-    }
-  });
-  int i = 0;
-  for (auto _ : state) {
-    while (!ring.Push(i)) {
-      std::this_thread::yield();
-    }
-    ++i;
-  }
-  stop.store(true, std::memory_order_release);
-  consumer.join();
-}
-BENCHMARK(BM_SpscRingPushPop);
 
 }  // namespace
 

@@ -30,8 +30,6 @@ struct LaneSweepResult {
   double window_s = 0;      // first-data -> last-data window
   int incomplete = 0;       // clients that did not finish (should be 0)
   std::string stage_table;  // per-lane relay stage timing (telemetry)
-  std::string queue_table;  // per-tun-queue flush timing (tun_queues > 1)
-  uint64_t acks_coalesced = 0;  // pure ACKs collapsed in gather buffers
   std::string stage_json;   // full registry JSON (tools/perf_gate.py input)
 };
 
@@ -78,38 +76,7 @@ std::string RenderStageBreakdown(const moptel::Registry* reg, int lanes) {
   return t.Render();
 }
 
-// Per-queue tun flush breakdown (thread model v4): one row per tun queue,
-// fed by the mopeye_tun_queue_flush_q<q>_ms histograms the engine registers
-// when Config::tun_queues > 1. The p95 column is the number the old shared
-// fd could not keep down — the whole point of the sharding.
-std::string RenderQueueBreakdown(const moptel::Registry* reg, int tun_queues) {
-  moputil::Table t({"tun queue", "flushes", "p50", "p95", "p99"});
-  bool any = false;
-  for (int q = 0; q < tun_queues; ++q) {
-    // append() rather than operator+ chains: GCC 12 -O2+ emits a -Wrestrict
-    // false positive (PR105651) for `"lit" + std::to_string(...)` that
-    // -Werror turns into a Release-build failure (see src/crowd/analysis.cc).
-    std::string metric = "mopeye_tun_queue_flush_q";
-    metric.append(std::to_string(q));
-    metric.append("_ms");
-    const moptel::Histogram* h = reg->FindHistogram(metric);
-    if (h == nullptr) {
-      continue;
-    }
-    any = true;
-    moputil::LogQuantile merged = h->Merged();
-    size_t n = merged.count();
-    std::string label = "q";
-    label.append(std::to_string(q));
-    t.AddRow({std::move(label), std::to_string(n),
-              n == 0 ? "-" : mopbench::Ms(merged.Quantile(50.0)),
-              n == 0 ? "-" : mopbench::Ms(merged.Quantile(95.0)),
-              n == 0 ? "-" : mopbench::Ms(merged.Quantile(99.0))});
-  }
-  return any ? t.Render() : std::string();
-}
-
-LaneSweepResult RunRelayScale(uint64_t seed, int lanes, int tun_queues, int clients,
+LaneSweepResult RunRelayScale(uint64_t seed, int lanes, int clients,
                               size_t bytes_per_client) {
   moptest::WorldOptions opts;
   opts.seed = seed + static_cast<uint64_t>(lanes) * 1000 + static_cast<uint64_t>(clients);
@@ -128,13 +95,6 @@ LaneSweepResult RunRelayScale(uint64_t seed, int lanes, int tun_queues, int clie
   cfg.tun_read_batch = 32;
   cfg.steal_enabled = lanes > 1;
   cfg.lane_tun_write = true;
-  // Thread model v4 (--tun-queues=N): shard egress across N tun queue fds
-  // and collapse same-flow pure-ACK runs in the gather buffers. Off (0)
-  // keeps the v3 single shared fd, so v3 sweep numbers stay comparable.
-  if (tun_queues > 0) {
-    cfg.tun_queues = tun_queues;
-    cfg.ack_coalescing = true;
-  }
   // The sweep doubles as the stage-timing showcase: telemetry's per-lane
   // histograms cost one branch per hook and do not perturb the simulation
   // (verified byte-identical against all checked-in baselines).
@@ -182,10 +142,6 @@ LaneSweepResult RunRelayScale(uint64_t seed, int lanes, int tun_queues, int clie
   r.mbps = r.window_s > 0 ? static_cast<double>(r.bytes) * 8.0 / r.window_s / 1e6 : 0;
   if (const moptel::Registry* reg = w.engine().telemetry_registry()) {
     r.stage_table = RenderStageBreakdown(reg, lanes);
-    if (tun_queues > 1) {
-      r.queue_table = RenderQueueBreakdown(reg, tun_queues);
-    }
-    reg->CounterValue("mopeye_engine_acks_coalesced_total", &r.acks_coalesced);
     r.stage_json = reg->RenderJson();
   }
   return r;
@@ -193,15 +149,10 @@ LaneSweepResult RunRelayScale(uint64_t seed, int lanes, int tun_queues, int clie
 
 int RunLaneSweep(const mopbench::Flags& flags) {
   int lanes = flags.lanes;
-  int tun_queues = flags.tun_queues;
   mopbench::PrintHeader("Table 3 (lanes sweep)",
                         "relay scaling across MainWorker lanes, 10 Gbps link");
-  std::printf("worker_lanes=%d (write batching %s in this configuration)\n", lanes,
+  std::printf("worker_lanes=%d (write batching %s in this configuration)\n\n", lanes,
               lanes > 1 ? "on" : "off");
-  if (tun_queues > 0) {
-    std::printf("tun_queues=%d with pure-ACK coalescing (thread model v4)\n", tun_queues);
-  }
-  std::printf("\n");
   const int kClientCounts[] = {8, 24, 48};
   const size_t kBytesPerClient = static_cast<size_t>(1.5 * 1024 * 1024);
   moputil::Table t({"clients", "relayed", "window", "throughput", "complete"});
@@ -209,7 +160,7 @@ int RunLaneSweep(const mopbench::Flags& flags) {
   int high_clients = 0;
   int total_incomplete = 0;
   for (int clients : kClientCounts) {
-    LaneSweepResult r = RunRelayScale(flags.seed, lanes, tun_queues, clients, kBytesPerClient);
+    LaneSweepResult r = RunRelayScale(flags.seed, lanes, clients, kBytesPerClient);
     t.AddRow({std::to_string(clients),
               mopbench::Num(static_cast<double>(r.bytes) / 1e6) + "MB",
               mopbench::Num(r.window_s) + "s", mopbench::Num(r.mbps) + " Mbps",
@@ -225,14 +176,6 @@ int RunLaneSweep(const mopbench::Flags& flags) {
                 "reported as lane 0):\n%s\n",
                 high_clients, high.stage_table.c_str());
   }
-  if (!high.queue_table.empty()) {
-    std::printf("per-tun-queue gathered flush timing, %d-client run:\n%s\n", high_clients,
-                high.queue_table.c_str());
-  }
-  if (tun_queues > 0) {
-    std::printf("pure ACKs coalesced in lane gather buffers (%d-client run): %llu\n",
-                high_clients, static_cast<unsigned long long>(high.acks_coalesced));
-  }
   if (!flags.stage_json.empty() && !high.stage_json.empty()) {
     if (FILE* f = std::fopen(flags.stage_json.c_str(), "w")) {
       std::fputs(high.stage_json.c_str(), f);
@@ -242,8 +185,8 @@ int RunLaneSweep(const mopbench::Flags& flags) {
     }
   }
   // The line the CI smoke and the README scaling table read.
-  std::printf("relay scaling summary: lanes=%d tun_queues=%d clients=%d throughput=%.2f Mbps\n",
-              lanes, tun_queues > 0 ? tun_queues : 1, high_clients, high.mbps);
+  std::printf("relay scaling summary: lanes=%d clients=%d throughput=%.2f Mbps\n", lanes,
+              high_clients, high.mbps);
   // CI smoke contract: nonzero if any client in any sweep row stalled.
   return total_incomplete == 0 ? 0 : 1;
 }

@@ -2,41 +2,11 @@
 
 #include <algorithm>
 
-#include "netpkt/packet.h"
 #include "util/logging.h"
 
 namespace mopdroid {
 
-TunDevice::TunDevice(mopsim::EventLoop* loop)
-    : loop_(loop),
-      outgoing_(1),
-      queue_packets_out_(1, 0),
-      queue_packets_in_(1, 0),
-      queue_high_water_(1, 0),
-      queue_affinity_(1) {
-  MOP_CHECK(loop != nullptr);
-}
-
-void TunDevice::ConfigureQueues(size_t queues) {
-  MOP_CHECK(queues >= 1) << "a tun device needs at least one queue";
-  MOP_CHECK(packets_out_ == 0 && packets_in_ == 0 && OutgoingDepth() == 0)
-      << "queues must be attached before any traffic";
-  outgoing_ = std::vector<std::deque<OutPacket>>(queues);
-  queue_packets_out_ = std::vector<uint64_t>(queues, 0);
-  queue_packets_in_ = std::vector<uint64_t>(queues, 0);
-  queue_high_water_ = std::vector<size_t>(queues, 0);
-  queue_affinity_ = std::vector<mopcc::LaneAffinityChecker>(queues);
-  read_cursor_ = 0;
-}
-
-size_t TunDevice::QueueOf(const moppkt::PacketBuf& datagram) const {
-  // Flow-hash classification, a header peek only (same rule the TunReader
-  // dispatches lanes by): a flow sticks to one queue, so per-flow FIFO
-  // survives the round-robin drain. Unclassifiable packets go to queue 0 —
-  // the parse will reject them on the owning lane anyway.
-  auto flow = moppkt::PeekFlow(datagram.bytes());
-  return flow.ok() ? moppkt::FlowLaneOf(flow.value(), outgoing_.size()) : 0;
-}
+TunDevice::TunDevice(mopsim::EventLoop* loop) : loop_(loop) { MOP_CHECK(loop != nullptr); }
 
 void TunDevice::InjectOutgoing(moppkt::PacketBuf datagram) {
   if (closed_) {
@@ -44,11 +14,8 @@ void TunDevice::InjectOutgoing(moppkt::PacketBuf datagram) {
   }
   ++packets_out_;
   bytes_out_ += datagram.size();
-  size_t q = outgoing_.size() == 1 ? 0 : QueueOf(datagram);
-  outgoing_[q].push_back(OutPacket{loop_->Now(), std::move(datagram)});
-  ++queue_packets_out_[q];
-  queue_high_water_[q] = std::max(queue_high_water_[q], outgoing_[q].size());
-  outgoing_high_water_ = std::max(outgoing_high_water_, OutgoingDepth());
+  outgoing_.push_back(OutPacket{loop_->Now(), std::move(datagram)});
+  outgoing_high_water_ = std::max(outgoing_high_water_, outgoing_.size());
   if (on_outgoing_ready) {
     on_outgoing_ready();
   }
@@ -58,79 +25,42 @@ void TunDevice::InjectOutgoing(std::vector<uint8_t> datagram) {
   InjectOutgoing(moppkt::BufPool::Default().AcquireCopy(datagram));
 }
 
-bool TunDevice::HasOutgoing() const {
-  for (const auto& q : outgoing_) {
-    if (!q.empty()) {
-      return true;
-    }
-  }
-  return false;
-}
-
-size_t TunDevice::OutgoingDepth() const {
-  size_t n = 0;
-  for (const auto& q : outgoing_) {
-    n += q.size();
-  }
-  return n;
-}
-
 std::optional<TunDevice::OutPacket> TunDevice::ReadOutgoing() {
-  for (size_t scanned = 0; scanned < outgoing_.size(); ++scanned) {
-    size_t q = (read_cursor_ + scanned) % outgoing_.size();
-    if (outgoing_[q].empty()) {
-      continue;
-    }
-    OutPacket pkt = std::move(outgoing_[q].front());
-    outgoing_[q].pop_front();
-    read_cursor_ = (q + 1) % outgoing_.size();
-    return pkt;
+  if (outgoing_.empty()) {
+    return std::nullopt;
   }
-  return std::nullopt;
+  OutPacket pkt = std::move(outgoing_.front());
+  outgoing_.pop_front();
+  return pkt;
 }
 
 size_t TunDevice::ReadOutgoingBurst(size_t max, std::vector<OutPacket>* out) {
-  // Round-robin across the queue fds: one packet per non-empty queue per
-  // turn, so a bulk flow on one queue cannot starve the others. With a
-  // single queue this is exactly the old front-of-deque drain.
-  size_t n = 0;
-  while (n < max) {
-    auto pkt = ReadOutgoing();
-    if (!pkt.has_value()) {
-      break;
-    }
-    out->push_back(std::move(*pkt));
-    ++n;
+  size_t n = std::min(max, outgoing_.size());
+  for (size_t i = 0; i < n; ++i) {
+    out->push_back(std::move(outgoing_.front()));
+    outgoing_.pop_front();
   }
   return n;
 }
 
-void TunDevice::WriteIncoming(size_t queue, moppkt::PacketBuf datagram) {
-  MOP_DCHECK(queue < outgoing_.size());
+void TunDevice::WriteIncoming(moppkt::PacketBuf datagram) {
   if (closed_) {
     return;
   }
   ++packets_in_;
   bytes_in_ += datagram.size();
-  ++queue_packets_in_[queue];
   if (on_deliver_to_apps) {
     on_deliver_to_apps(std::move(datagram));
   }
 }
 
-void TunDevice::WriteIncoming(moppkt::PacketBuf datagram) {
-  WriteIncoming(0, std::move(datagram));
-}
-
 void TunDevice::WriteIncoming(std::vector<uint8_t> datagram) {
-  WriteIncoming(0, moppkt::BufPool::Default().AcquireCopy(datagram));
+  WriteIncoming(moppkt::BufPool::Default().AcquireCopy(datagram));
 }
 
 void TunDevice::Close() {
   closed_ = true;
-  for (auto& q : outgoing_) {
-    q.clear();
-  }
+  outgoing_.clear();
 }
 
 }  // namespace mopdroid

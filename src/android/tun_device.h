@@ -5,11 +5,7 @@
 // back is injected into the kernel as if received from a network. This model
 // keeps the fd semantics that drive the paper's §3.1 problem: reads either
 // block until a packet arrives or return "no packet" immediately (forcing
-// user-space polling). Writers are queue-sharded (thread model v4): the
-// device exposes N independent delivery queues à la Linux multiqueue tun
-// (IFF_MULTI_QUEUE — one fd per queue), each its own contention domain, so
-// write contention exists only *within* a queue. N = 1 (the default) is the
-// single shared fd of the paper, which every checked-in baseline models.
+// user-space polling), and there is exactly one shared fd for all writers.
 #ifndef MOPEYE_ANDROID_TUN_DEVICE_H_
 #define MOPEYE_ANDROID_TUN_DEVICE_H_
 
@@ -19,7 +15,6 @@
 #include <optional>
 #include <vector>
 
-#include "concurrent/lane_affinity.h"
 #include "netpkt/packet_buf.h"
 #include "sim/event_loop.h"
 #include "util/time.h"
@@ -33,19 +28,10 @@ class TunDevice {
  public:
   explicit TunDevice(mopsim::EventLoop* loop);
 
-  // ---- Queue setup (thread model v4) ----
-  // Attaches `queues` fds to the device (IFF_MULTI_QUEUE). Must happen
-  // before any traffic: existing queued packets would have been classified
-  // under the old queue count. 1 keeps the single-fd model byte-identical.
-  void ConfigureQueues(size_t queues);
-  size_t queue_count() const { return outgoing_.size(); }
-
   // ---- App/kernel side ----
-  // The kernel routes an app datagram into the tunnel (the flow's queue fd
-  // becomes readable for the VPN app). Flows are spread across queues by
-  // flow hash — a flow sticks to one queue, so per-flow FIFO order holds.
-  // The pooled overload is the zero-copy path; the vector overload copies
-  // into a pooled slab at the boundary.
+  // The kernel routes an app datagram into the tunnel (tun fd becomes
+  // readable for the VPN app). The pooled overload is the zero-copy path;
+  // the vector overload copies into a pooled slab at the boundary.
   void InjectOutgoing(moppkt::PacketBuf datagram);
   void InjectOutgoing(std::vector<uint8_t> datagram);
   // Fired at the exact instant a datagram is injected; the VPN app's reader
@@ -61,34 +47,22 @@ class TunDevice {
     SimTime injected_at = 0;
     moppkt::PacketBuf data;
   };
-  // Non-destructive check, across all queues.
-  bool HasOutgoing() const;
-  size_t OutgoingDepth() const;
+  // Non-destructive check.
+  bool HasOutgoing() const { return !outgoing_.empty(); }
+  size_t OutgoingDepth() const { return outgoing_.size(); }
   // Pops one datagram (the read() syscall's data part; the caller pays the
-  // syscall cost in its own lane). With several queues, reads round-robin
-  // so no queue starves.
+  // syscall cost in its own lane).
   std::optional<OutPacket> ReadOutgoing();
   // Pops up to `max` datagrams into `out` (appending) — the data part of a
-  // readv/recvmmsg-style gathered read, round-robin across the queues (one
-  // packet per non-empty queue per turn). Returns the number popped; the
+  // readv/recvmmsg-style gathered read. Returns the number popped; the
   // caller pays one amortized syscall cost for the whole burst in its own
   // lane. Buffers stay pooled end to end, exactly like ReadOutgoing.
   size_t ReadOutgoingBurst(size_t max, std::vector<OutPacket>* out);
-  // Writes one datagram toward the apps through queue `queue`; delivery is
-  // immediate (in-kernel handoff of the pooled buffer). The caller pays the
-  // write() cost — and any *within-queue* contention — in its own lane.
-  void WriteIncoming(size_t queue, moppkt::PacketBuf datagram);
-  // Single-fd convenience: queue 0 (the paper model, and where the shared
-  // TunWriter's non-lane producers land).
+  // Writes one datagram toward the apps; delivery is immediate (in-kernel
+  // handoff of the pooled buffer). The caller pays the write() cost in its
+  // own lane.
   void WriteIncoming(moppkt::PacketBuf datagram);
   void WriteIncoming(std::vector<uint8_t> datagram);
-
-  // Debug-only: stamps the calling context (LaneScope) as the writer of
-  // `queue` and aborts if a different context ever writes it. The engine
-  // invokes this at flush time only for queues it assigned exclusively to
-  // one lane — shared queues (lanes > queues) legitimately have several
-  // writers and are never stamped. Compiled to nothing in Release.
-  void CheckQueueWriteAffinity(size_t queue) { queue_affinity_[queue].Check(); }
 
   // fd teardown (VPN revoked / service stopped).
   void Close();
@@ -100,31 +74,18 @@ class TunDevice {
   uint64_t bytes_out() const { return bytes_out_; }
   uint64_t bytes_in() const { return bytes_in_; }
   size_t outgoing_high_water() const { return outgoing_high_water_; }
-  // Per-queue tallies (mopeye_tun_queue_* exposition rows).
-  uint64_t queue_packets_out(size_t queue) const { return queue_packets_out_[queue]; }
-  uint64_t queue_packets_in(size_t queue) const { return queue_packets_in_[queue]; }
-  size_t queue_high_water(size_t queue) const { return queue_high_water_[queue]; }
 
  private:
-  size_t QueueOf(const moppkt::PacketBuf& datagram) const;
-
   mopsim::EventLoop* loop_;
-  // One FIFO per attached queue fd; size 1 until ConfigureQueues.
-  std::vector<std::deque<OutPacket>> outgoing_;
-  size_t read_cursor_ = 0;  // round-robin position for the burst reads
+  std::deque<OutPacket> outgoing_;
   bool closed_ = false;
   uint64_t packets_out_ = 0;
   uint64_t packets_in_ = 0;
   uint64_t bytes_out_ = 0;
   uint64_t bytes_in_ = 0;
   // android sits below telemetry in the layering DAG; the engine exports
-  // these peaks/tallies via AddExternal{Gauge,Counter}.
+  // this peak via AddExternalGauge.
   size_t outgoing_high_water_ = 0;  // moplint-allow: raw-counter
-  std::vector<uint64_t> queue_packets_out_;
-  std::vector<uint64_t> queue_packets_in_;
-  std::vector<size_t> queue_high_water_;  // moplint-allow: raw-counter
-  // Debug-only per-queue writer stamps (see CheckQueueWriteAffinity).
-  std::vector<mopcc::LaneAffinityChecker> queue_affinity_;
 };
 
 }  // namespace mopdroid

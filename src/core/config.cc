@@ -34,10 +34,8 @@ CostModels CostModels::Default() {
       {0.988, LogN(Micros(95), 0.35, Micros(30), Micros(900))},
       {0.012, std::make_shared<UniformDelay>(Millis(1), Millis(2))},
   });
-  // Contention tail on a shared tun fd: what directWrite exposes producers
-  // to. With multi-queue egress (Config::tun_queues > 1) this same mixture
-  // is the within-queue law — sampled per flush only when another writer
-  // shares the queue, never for an exclusively-owned queue.
+  // Contention tail on the shared fd: what directWrite exposes producers to,
+  // and what every gathered lane flush pays once per burst.
   m.tun_write_contention = std::make_shared<MixtureDelay>(std::vector<MixtureDelay::Component>{
       {0.972, std::make_shared<FixedDelay>(0)},
       {0.020, std::make_shared<UniformDelay>(Millis(1), Millis(2))},

@@ -34,10 +34,8 @@ struct CostModels {
   std::shared_ptr<moputil::DelayModel> tun_read_syscall;
   // write() on the tun fd, uncontended.
   std::shared_ptr<moputil::DelayModel> tun_write_syscall;
-  // Extra write() tail when several threads hit the same tun fd. With
-  // Config::tun_queues > 1 this mixture is the *within-queue* law: a lane
-  // samples it only when another writer shares its queue; exclusive queues
-  // never draw from it.
+  // Extra write() tail when several threads hit the shared fd: sampled by
+  // directWrite producers and by every gathered lane flush (lane_tun_write).
   std::shared_ptr<moputil::DelayModel> tun_write_contention;
   // Producer-visible cost of notify() when the consumer sits in wait()
   // (oldPut's 1-5 ms tail, Table 1).
@@ -149,25 +147,6 @@ struct Config {
   // default: the paper model routes all writes through §3.5.1's schemes and
   // the checked-in baselines depend on that cost stream.
   bool lane_tun_write = false;
-
-  // ---- Multi-queue tun egress + pure-ACK coalescing (thread model v4) ----
-  // Number of independent tun delivery queues (Linux IFF_MULTI_QUEUE model:
-  // one fd per queue, each with its own contention domain). 1 (the default)
-  // is the single shared fd of the paper and keeps every checked-in baseline
-  // byte-identical. With N > 1 each WorkerLane flushes its gathered egress to
-  // queue (lane_index % N), so tun_write_contention is sampled only when
-  // another lane shares the same queue (lanes <= queues: zero contention;
-  // lanes > queues: hashed sharing). Ingress spreads app flows across the
-  // queues by flow hash and the TunReader drains them round-robin-burst, so
-  // per-flow FIFO order is untouched. Non-lane producers (connect threads,
-  // DNS temp threads) keep the §3.5.1 TunWriter on queue 0.
-  int tun_queues = 1;
-  // Pure-ACK coalescing in the lane gather buffer: before a flush, collapse
-  // consecutive same-flow pure ACKs (no payload, no SYN/FIN/RST) into the
-  // latest one. TCP ACKs are cumulative, so the app-visible stream is
-  // byte-identical — the later ACK's number and window supersede the
-  // earlier's. Off by default (paper model; baselines byte-identical).
-  bool ack_coalescing = false;
 
   // Self-measurement plane (moptel): lane-sharded metrics registry, stage
   // histograms, and the per-lane flight recorder. Off (the default) the

@@ -46,9 +46,6 @@ struct MopEyeEngine::Telemetry {
   moptel::Histogram* stage_tun_read = nullptr;      // TunReader per-read cost
   moptel::Histogram* stage_tun_write = nullptr;     // TunWriter drain bursts
   moptel::Gauge* lane_clients_high_water = nullptr;
-  // Per-tun-queue gathered-flush timings (mopeye_tun_queue_flush_q<i>_ms),
-  // one histogram per queue; empty when Config::tun_queues == 1.
-  std::vector<moptel::Histogram*> queue_flush;
   // Read-queue high water last traced per lane (flight-recorder dedup).
   std::vector<size_t> read_queue_hw_seen;
 
@@ -63,7 +60,6 @@ MopEyeEngine::MopEyeEngine(mopdroid::AndroidDevice* device, Config config)
       rng_(device->rng().Fork()) {
   MOP_CHECK(device != nullptr);
   MOP_CHECK(config_.worker_lanes >= 1) << "worker_lanes must be >= 1";
-  MOP_CHECK(config_.tun_queues >= 1) << "tun_queues must be >= 1";
   if (config_.worker_lanes > 1) {
     // The scaled configuration: all lanes feed the single TunWriter, so
     // batched drains are what keeps the shared fd from re-serializing them.
@@ -175,35 +171,6 @@ void MopEyeEngine::BuildTelemetry() {
                                     ? static_cast<uint64_t>(vpn_->tun()->outgoing_high_water())
                                     : 0;
                        });
-  // Multi-queue egress (thread model v4): per-queue flush timings and
-  // delivery tallies. Registered only when several queues are attached, so
-  // the single-queue exposition (and fleet scrape agreement) is unchanged.
-  if (config_.tun_queues > 1) {
-    size_t queues = static_cast<size_t>(config_.tun_queues);
-    telemetry_->queue_flush.resize(queues, nullptr);
-    for (size_t q = 0; q < queues; ++q) {
-      std::string qs = std::to_string(q);
-      telemetry_->queue_flush[q] =
-          reg.AddHistogram("mopeye_tun_queue_flush_q" + qs + "_ms",
-                           "Gathered lane flush cost on tun queue " + qs);
-      reg.AddExternalCounter(
-          "mopeye_tun_queue_packets_in_q" + qs + "_total",
-          "Packets MopEye wrote toward the apps through tun queue " + qs,
-          [this, q] { return vpn_ && vpn_->tun() ? vpn_->tun()->queue_packets_in(q) : 0; });
-      reg.AddExternalCounter(
-          "mopeye_tun_queue_packets_out_q" + qs + "_total",
-          "App packets the kernel routed into tun queue " + qs,
-          [this, q] { return vpn_ && vpn_->tun() ? vpn_->tun()->queue_packets_out(q) : 0; });
-      reg.AddExternalGauge(
-          "mopeye_tun_queue_outgoing_high_water_q" + qs,
-          "Peak depth of tun queue " + qs + "'s outgoing FIFO",
-          [this, q] {
-            return vpn_ && vpn_->tun()
-                       ? static_cast<uint64_t>(vpn_->tun()->queue_high_water(q))
-                       : 0;
-          });
-    }
-  }
   reg.AddExternalCounter("mopeye_tun_reader_packets_total",
                          "Packets the TunReader pulled off the tun fd",
                          [this] { return reader_ ? reader_->packets_read() : 0; });
@@ -286,26 +253,6 @@ moputil::Status MopEyeEngine::Start() {
   mopdroid::TunDevice* tun = builder.establish();
   if (tun == nullptr) {
     return moputil::Internal("VpnService.establish() failed");
-  }
-  // Multi-queue egress (thread model v4): attach the queue fds before any
-  // traffic and pin each lane to queue (index % queues). A queue owned by
-  // exactly one lane is an exclusive contention domain: its flushes skip the
-  // tun_write_contention draw entirely (and carry a debug-only
-  // write-affinity stamp). With tun_queues == 1 every lane shares queue 0
-  // and samples contention on every flush — the paper model, draw-for-draw.
-  if (config_.tun_queues > 1) {
-    tun->ConfigureQueues(static_cast<size_t>(config_.tun_queues));
-  }
-  {
-    size_t queues = static_cast<size_t>(config_.tun_queues);
-    std::vector<size_t> queue_writers(queues, 0);
-    for (auto& lane : lanes_) {
-      lane->queue = lane->index % queues;
-      ++queue_writers[lane->queue];
-    }
-    for (auto& lane : lanes_) {
-      lane->queue_exclusive = queues > 1 && queue_writers[lane->queue] == 1;
-    }
   }
 
   std::vector<TunReader::LaneSink> sinks;
@@ -959,10 +906,11 @@ void MopEyeEngine::HandleTcpSegment(WorkerLane& lane, const moppkt::ParsedPacket
 
   if (out.app_half_closed) {
     // §2.3 "TCP FIN": half-close write event for the socket instance.
-    if (client->channel && client->socket_write_buf.empty()) {
+    if (client->channel && client->socket_writes_idle()) {
       client->channel->Close();
     }
-    // If data is still buffered, FlushSocketWrites closes after flushing.
+    // If data is still staged or its write has not landed yet, the deferred
+    // write in FlushSocketWrites closes after it.
   }
 
   if (out.fully_closed || client->sm.state() == RelayTcpState::kClosed) {
@@ -1045,24 +993,18 @@ void MopEyeEngine::FlushSocketWrites(const std::shared_ptr<TcpClient>& client) {
   // packets they point into return to the pool as the deque clears.
   std::vector<uint8_t> data;
   data.reserve(client->socket_write_bytes);
-  std::vector<uint32_t> chunk_bytes;
-  if (config_.lane_tun_write) {
-    chunk_bytes.reserve(client->socket_write_buf.size());
-  }
   for (const auto& pending : client->socket_write_buf) {
     data.insert(data.end(), pending.data.begin(), pending.data.end());
-    if (config_.lane_tun_write) {
-      chunk_bytes.push_back(static_cast<uint32_t>(pending.data.size()));
-    }
   }
   client->socket_write_buf.clear();
   client->socket_write_bytes = 0;
+  ++client->socket_writes_in_flight;
   moputil::SimDuration cost = config_.costs.socket_op->Sample(home->rng);
   if (telemetry_) {
     telemetry_->stage_socket_write->Observe(home->index, moputil::ToMillis(cost));
   }
-  home->lane.Submit(0, cost, [this, client, data = std::move(data),
-                              chunk_bytes = std::move(chunk_bytes)]() mutable {
+  home->lane.Submit(0, cost, [this, client, data = std::move(data)]() mutable {
+    --client->socket_writes_in_flight;
     if (client->removed || !client->channel) {
       return;
     }
@@ -1072,30 +1014,13 @@ void MopEyeEngine::FlushSocketWrites(const std::shared_ptr<TcpClient>& client) {
     }
     client->channel->Write(std::move(data));
     // §2.3 "Socket Write": after pushing the buffer to the server, instruct
-    // the state machine to ACK the app. In gathered-egress mode the relay
-    // keeps the paper's per-packet granularity: one cumulative ACK per tun
-    // data packet staged into this batch, ascending to the batch total, so
-    // window feedback tracks individual packets. These land consecutively
-    // at the lane's gather tail, which is exactly the redundancy the
-    // ack_coalescing rule collapses back into the final segment.
-    moppkt::TcpSegmentSpec ack = client->sm.MakeAck();
-    if (chunk_bytes.size() > 1) {
-      uint32_t cursor = ack.ack;
-      for (uint32_t n : chunk_bytes) {
-        cursor -= n;  // rewind to the batch-start cumulative ACK (mod 2^32)
-      }
-      for (uint32_t n : chunk_bytes) {
-        cursor += n;
-        moppkt::TcpSegmentSpec step = ack;
-        step.ack = cursor;
-        EmitToApp(client, step, &client->home->lane, client->home);
-      }
-    } else {
-      EmitToApp(client, ack, &client->home->lane, client->home);
-    }
-    // Half-close deferred until the buffer flushed.
-    if (client->sm.state() == RelayTcpState::kCloseWait ||
-        client->sm.state() == RelayTcpState::kLastAck) {
+    // the state machine to ACK the app — one cumulative ACK per write, in
+    // both egress modes.
+    EmitToApp(client, client->sm.MakeAck(), &client->home->lane, client->home);
+    // Half-close deferred until the last staged byte landed.
+    if ((client->sm.state() == RelayTcpState::kCloseWait ||
+         client->sm.state() == RelayTcpState::kLastAck) &&
+        client->socket_writes_idle()) {
       client->channel->Close();
     }
   });
@@ -1158,15 +1083,13 @@ void MopEyeEngine::EmitToApp(const std::shared_ptr<TcpClient>& client,
                                      client->ip_id++, /*ttl=*/64, datagram.writable());
   }
   datagram.set_size(n);
-  // The spec classifies the packet (pure ACK or not) before serialization,
-  // so the gather path's coalescing rule never re-parses the bytes.
-  EmitRawToApp(std::move(datagram), producer, gather, MetaForSpec(client->flow, spec));
+  EmitRawToApp(std::move(datagram), producer, gather);
 }
 
 void MopEyeEngine::EmitRawToApp(moppkt::PacketBuf datagram, mopsim::ActorLane* producer,
-                                WorkerLane* gather, const GatherMeta& meta) {
+                                WorkerLane* gather) {
   if (gather != nullptr && config_.lane_tun_write) {
-    GatherLaneWrite(*gather, std::move(datagram), meta);
+    GatherLaneWrite(*gather, std::move(datagram));
     return;
   }
   moputil::SimDuration overhead = writer_->SubmitPacket(std::move(datagram));
@@ -1175,20 +1098,8 @@ void MopEyeEngine::EmitRawToApp(moppkt::PacketBuf datagram, mopsim::ActorLane* p
   }
 }
 
-void MopEyeEngine::GatherLaneWrite(WorkerLane& lane, moppkt::PacketBuf datagram,
-                                   const GatherMeta& meta) {
-  if (config_.ack_coalescing && meta.pure_ack && !lane.write_gather.empty() &&
-      AckSupersedes(lane.write_gather_meta.back(), meta)) {
-    // Consecutive same-flow pure ACKs: the cumulative ACK makes the trailing
-    // one redundant — replace it in place. The superseded buffer returns to
-    // its pool here; the flush already pending covers the replacement.
-    lane.write_gather.back() = std::move(datagram);
-    lane.write_gather_meta.back() = meta;
-    ++lane.counters.acks_coalesced;
-    return;
-  }
+void MopEyeEngine::GatherLaneWrite(WorkerLane& lane, moppkt::PacketBuf datagram) {
   lane.write_gather.push_back(std::move(datagram));
-  lane.write_gather_meta.push_back(meta);
   if (lane.write_flush_pending) {
     return;
   }
@@ -1207,17 +1118,12 @@ void MopEyeEngine::FlushLaneWrites(WorkerLane& lane) {
   lane.affinity.Check();
   std::vector<moppkt::PacketBuf> burst;
   burst.swap(lane.write_gather);
-  lane.write_gather_meta.clear();
   const CostModels& costs = config_.costs;
-  // One gathered write() on this lane's own tun queue fd: syscall +
-  // per-iovec marginal cost, plus the stochastic within-queue stall — but
-  // only when another lane shares the queue. An exclusively-owned queue
-  // (lanes <= tun_queues) never draws from the contention mixture; the
-  // single-queue paper model always does, draw-for-draw as before.
-  moputil::SimDuration cost = costs.tun_write_syscall->Sample(lane.rng);
-  if (!lane.queue_exclusive) {
-    cost += costs.tun_write_contention->Sample(lane.rng);
-  }
+  // One gathered write() from this lane's own thread: syscall + per-iovec
+  // marginal cost, plus the stochastic stall for the fd being held by
+  // another lane mid-write.
+  moputil::SimDuration cost = costs.tun_write_syscall->Sample(lane.rng) +
+                              costs.tun_write_contention->Sample(lane.rng);
   for (size_t i = 1; i < burst.size(); ++i) {
     cost += costs.tun_write_batch_extra->Sample(lane.rng);
   }
@@ -1225,20 +1131,12 @@ void MopEyeEngine::FlushLaneWrites(WorkerLane& lane) {
   lane.counters.lane_write_packets += burst.size();
   if (telemetry_) {
     telemetry_->stage_tun_write->Observe(lane.index, moputil::ToMillis(cost));
-    if (!telemetry_->queue_flush.empty()) {
-      telemetry_->queue_flush[lane.queue]->Observe(lane.index, moputil::ToMillis(cost));
-    }
   }
   mopdroid::TunDevice* tun = vpn_ ? vpn_->tun() : nullptr;
-  if (tun != nullptr && lane.queue_exclusive) {
-    // Debug-only: stamp this lane as the queue's sole writer; a flush to a
-    // queue the lane does not own aborts instead of silently contending.
-    tun->CheckQueueWriteAffinity(lane.queue);
-  }
   lane.lane.Submit(0, cost, [this, l = &lane, tun, burst = std::move(burst)]() mutable {
     if (tun != nullptr && !tun->closed()) {
       for (auto& packet : burst) {
-        tun->WriteIncoming(l->queue, std::move(packet));
+        tun->WriteIncoming(std::move(packet));
       }
     }
     if (!l->write_gather.empty()) {

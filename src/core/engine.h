@@ -19,17 +19,14 @@
 //     timestamp -> lazy mapping -> register with the owning lane's selector
 //     -> SYN/ACK to app
 //
-//   TunWriter  <- write queue (newPut/oldPut) <- packets from non-lane
-//     producers (connect threads, DNS temp threads); with lane_tun_write on,
-//     worker lanes bypass it and flush their own gathered bursts instead.
+//   TunWriter  <- write queue (newPut/oldPut) <- every packet toward the app
+//     (the scaled configuration batches drains so the shared fd does not
+//     re-serialize the lanes). With Config::lane_tun_write on, worker lanes
+//     bypass it and flush their own gathered bursts to the same tun fd; only
+//     connect threads and DNS temp threads still come through here.
 //
-// Thread model v4 (multi-queue egress + pure-ACK coalescing): with
-// Config::tun_queues = N the tun device exposes N delivery queues
-// (IFF_MULTI_QUEUE model), lane i flushes its gathered egress to queue
-// (i % N), and tun_write_contention is sampled only when another lane shares
-// that queue — lanes <= queues run contention-free. Config::ack_coalescing
-// collapses consecutive same-flow pure ACKs in the gather buffer into the
-// latest one (cumulative-ACK semantics; see core/ack_coalesce.h).
+// Every flushed socket write is answered with exactly one cumulative ACK
+// toward the app (§2.3 "Socket Write"), whichever egress path carries it.
 //
 // Config::worker_lanes = 1 (default) is the paper's single-MainWorker model
 // and is behaviorally identical to it — same RNG stream, same costs, same
@@ -48,7 +45,6 @@
 #include "android/vpn_service.h"
 #include "concurrent/lane_affinity.h"
 #include "concurrent/steal_board.h"
-#include "core/ack_coalesce.h"
 #include "core/config.h"
 #include "core/measurement.h"
 #include "core/packet_mapper.h"
@@ -99,7 +95,7 @@ constexpr int kMopEyeUid = 10999;
   X(steal_parked_packets)               \
   X(lane_write_bursts)                  \
   X(lane_write_packets)                 \
-  X(acks_coalesced)
+  X(acks_coalesced) /* always 0; perfbench/relay_workloads.cc reads it */
 
 class MopEyeEngine {
  public:
@@ -229,6 +225,13 @@ class MopEyeEngine {
     };
     std::deque<PendingWrite> socket_write_buf;
     size_t socket_write_bytes = 0;
+    // Flushed batches whose deferred channel write has not run yet. The
+    // relay has already taken (and will ACK) their bytes, so an app FIN must
+    // not close the channel under them.
+    int socket_writes_in_flight = 0;
+    bool socket_writes_idle() const {
+      return socket_write_buf.empty() && socket_writes_in_flight == 0;
+    }
     bool write_event_pending = false;
     bool external_connected = false;
     bool removed = false;
@@ -312,17 +315,8 @@ class MopEyeEngine {
     // Gathered lane egress (Config::lane_tun_write): packets this lane
     // produced since its last flush, written with one gathered write() from
     // the lane itself instead of through the shared TunWriter.
-    // `write_gather_meta` rides in lockstep (same index = same packet) and
-    // carries the pure-ACK metadata the coalescing rule inspects.
     std::vector<moppkt::PacketBuf> write_gather;
-    std::vector<GatherMeta> write_gather_meta;
     bool write_flush_pending = false;
-    // Multi-queue egress (Config::tun_queues): the tun queue this lane
-    // flushes to (index % tun_queues), and whether it owns that queue alone
-    // — exclusive queues skip the contention draw and carry a debug-only
-    // write-affinity stamp.
-    size_t queue = 0;
-    bool queue_exclusive = false;
   };
 
   Config::ProtectMode EffectiveProtectMode() const;
@@ -372,20 +366,13 @@ class MopEyeEngine {
   void EmitToApp(const std::shared_ptr<TcpClient>& client,
                  const moppkt::TcpSegmentSpec& spec, mopsim::ActorLane* producer,
                  WorkerLane* gather = nullptr);
-  // `meta` classifies the datagram for the gather path's pure-ACK coalescing
-  // (default = not coalescible: the raw/UDP emission shape).
   void EmitRawToApp(moppkt::PacketBuf datagram, mopsim::ActorLane* producer,
-                    WorkerLane* gather = nullptr, const GatherMeta& meta = {});
+                    WorkerLane* gather = nullptr);
   // Gathered lane egress (Config::lane_tun_write): append to the lane's
-  // burst — or, with Config::ack_coalescing, replace a trailing same-flow
-  // pure ACK the new one supersedes — and schedule one flush behind the
-  // current task chain.
-  void GatherLaneWrite(WorkerLane& lane, moppkt::PacketBuf datagram,
-                       const GatherMeta& meta);
+  // burst and schedule one flush behind the current task chain.
+  void GatherLaneWrite(WorkerLane& lane, moppkt::PacketBuf datagram);
   // Pays one gathered-write cost for everything queued, then delivers the
-  // burst to the lane's own tun queue; re-arms itself while packets keep
-  // arriving. Contention is sampled only when another lane shares the queue
-  // (always, in the single-queue paper model).
+  // burst to the tun fd; re-arms itself while packets keep arriving.
   void FlushLaneWrites(WorkerLane& lane);
 
   std::shared_ptr<TcpClient> FindClient(WorkerLane& lane, const moppkt::FlowKey& flow);

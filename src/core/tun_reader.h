@@ -18,12 +18,6 @@
 // burst. With tun_read_batch == 1 and a single sink this degenerates to
 // exactly the paper's per-packet TunReader -> MainWorker hand-off.
 //
-// Thread model v4: with Config::tun_queues > 1 each ReadOutgoingBurst drains
-// the device's queue fds round-robin (one packet per non-empty queue per
-// turn — TunDevice owns the rotation), so one bulk flow's queue cannot
-// starve the rest. A flow sticks to one queue, so per-flow FIFO order is
-// unchanged and the flow->lane dispatch below is oblivious to queue count.
-//
 // The reader is also the steal broker: overloaded lanes publish their hottest
 // flow on a StealBoard, and the reader — sole owner of the flow -> lane
 // routing decision — re-homes whole flows by installing a routing override

@@ -20,11 +20,9 @@ moputil::SimDuration TunWriter::SubmitPacket(moppkt::PacketBuf packet) {
   const CostModels& costs = config_->costs;
 
   if (config_->write_scheme == Config::WriteScheme::kDirectWrite) {
-    // The producer writes queue 0's fd itself: it pays the write() syscall
-    // plus the occasional contention stall when another thread holds that
-    // fd (the stochastic tail in tun_write_contention — the within-queue
-    // law; lanes flushing their own queues never contend here). Deliveries
-    // stay FIFO per queue.
+    // The producer writes the shared fd itself: it pays the write() syscall
+    // plus the occasional contention stall when another thread holds the fd
+    // (the stochastic tail in tun_write_contention). Deliveries stay FIFO.
     moputil::SimTime now = loop_->Now();
     moputil::SimDuration cost = costs.tun_write_syscall->Sample(rng_) +
                                 costs.tun_write_contention->Sample(rng_);

@@ -1,11 +1,10 @@
 // Tunnel write path (paper §3.5.1).
 //
-// Egress is queue-sharded (thread model v4): worker lanes with
-// Config::lane_tun_write flush their own gathered bursts to their assigned
-// tun queue (Config::tun_queues), and only packets from non-lane producers —
-// connect threads, DNS temp threads — come through here, onto queue 0. In
-// the paper model (tun_queues = 1, lane_tun_write off) queue 0 IS the single
-// shared fd and every packet takes this path. Two schemes:
+// All packets MopEye sends to the apps leave through a single tun fd, shared
+// by every producing thread. In the paper model every packet comes through
+// here; with Config::lane_tun_write the worker lanes write their own
+// gathered bursts to that fd, and only non-lane producers (connect threads,
+// DNS temp threads) still use the TunWriter. Two schemes:
 //
 //  * kDirectWrite — the producing thread writes the fd itself: it eats the
 //    write() cost plus any contention stall on the shared fd.

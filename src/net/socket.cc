@@ -292,6 +292,7 @@ void SocketChannel::Write(std::vector<uint8_t> data) {
                                data.begin() + static_cast<long>(offset + chunk));
     moputil::SimTime departed = ctx_->uplink().DeliverAfter(now, chunk);
     moputil::SimTime arrival = departed + data_one_way_;
+    last_server_delivery_ = arrival;
     ctx_->loop()->ScheduleAt(arrival, [conn, piece = std::move(piece)]() mutable {
       if (!conn->client_alive() || conn->behavior() == nullptr) {
         return;
@@ -320,8 +321,8 @@ void SocketChannel::Close() {
   ctx_->capture().Record(now, CaptureEvent::kTcpFin, CaptureDir::kOut, local_, remote_);
   if (server_conn_) {
     auto conn = server_conn_;
-    moputil::SimDuration ow = data_one_way_;
-    ctx_->loop()->Schedule(ow, [conn] {
+    moputil::SimTime arrival = std::max(now + data_one_way_, last_server_delivery_ + 1);
+    ctx_->loop()->ScheduleAt(arrival, [conn] {
       if (conn->behavior() != nullptr) {
         conn->behavior()->OnHalfClose(*conn);
       }

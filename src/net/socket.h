@@ -153,6 +153,9 @@ class SocketChannel : public std::enable_shared_from_this<SocketChannel> {
   moputil::SimDuration data_one_way_ = 0;
   // Order guard for client-bound deliveries.
   moputil::SimTime last_client_delivery_ = 0;
+  // Arrival of the last data piece written toward the server: a FIN sent by
+  // Close() must not overtake bytes still serializing on the uplink.
+  moputil::SimTime last_server_delivery_ = 0;
 
   std::shared_ptr<ServerConn> server_conn_;
 

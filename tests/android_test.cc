@@ -1,13 +1,11 @@
 #include <gtest/gtest.h>
 
-#include <thread>
 #include <vector>
 
 #include "android/device.h"
 #include "android/proc_net.h"
 #include "android/tun_device.h"
 #include "android/vpn_service.h"
-#include "concurrent/lane_affinity.h"
 #include "net/net_context.h"
 #include "net/server.h"
 #include "netpkt/packet.h"
@@ -19,13 +17,12 @@ namespace {
 using moppkt::IpAddr;
 using moputil::Millis;
 
-// A parseable app->tunnel TCP datagram for flow-classification tests; the
-// app-side port is the only thing that varies the flow hash here.
-std::vector<uint8_t> FlowDatagram(uint16_t app_port, uint32_t seq = 101) {
+// A parseable app->tunnel TCP datagram; the app-side port names the flow.
+std::vector<uint8_t> FlowDatagram(uint16_t app_port) {
   moppkt::TcpSegmentSpec spec;
   spec.src_port = app_port;
   spec.dst_port = 443;
-  spec.seq = seq;
+  spec.seq = 101;
   spec.ack = 5001;
   spec.flags = moppkt::AckFlag();
   return moppkt::BuildTcpDatagram(spec, IpAddr(10, 0, 0, 2), IpAddr(93, 1, 2, 3));
@@ -95,159 +92,19 @@ TEST(TunDevice, ClosedDropsTraffic) {
   EXPECT_FALSE(tun.HasOutgoing());
 }
 
-// ---- Multi-queue tun egress (thread model v4) -------------------------------
-
-TEST(TunDeviceMultiQueue, FlowHashAssignmentIsStableAndMatchesTheOracle) {
+TEST(TunDevice, KeepsFifoOrderAcrossFlows) {
   mopsim::EventLoop loop;
   mopdroid::TunDevice tun(&loop);
-  tun.ConfigureQueues(4);
-  ASSERT_EQ(tun.queue_count(), 4u);
-  // Each flow's packets land on exactly the queue FlowLaneOf names — the
-  // same rule the TunReader uses for lanes, so flow->queue is one oracle.
-  for (uint16_t port = 40000; port < 40032; ++port) {
-    std::vector<uint8_t> wire = FlowDatagram(port);
-    auto flow = moppkt::PeekFlow(wire);
-    ASSERT_TRUE(flow.ok());
-    size_t want = moppkt::FlowLaneOf(flow.value(), 4);
-    uint64_t before = tun.queue_packets_out(want);
-    tun.InjectOutgoing(wire);
-    tun.InjectOutgoing(FlowDatagram(port, 1561));
-    EXPECT_EQ(tun.queue_packets_out(want), before + 2);
-  }
-  uint64_t total = 0;
-  for (size_t q = 0; q < 4; ++q) {
-    total += tun.queue_packets_out(q);
-  }
-  EXPECT_EQ(total, 64u);
-  EXPECT_EQ(tun.packets_out(), 64u);
-}
-
-TEST(TunDeviceMultiQueue, BurstReadsRoundRobinAcrossQueues) {
-  mopsim::EventLoop loop;
-  mopdroid::TunDevice tun(&loop);
-  tun.ConfigureQueues(2);
-  // Find one flow per queue, then make queue 0 an elephant: 6 packets
-  // against queue 1's one. A shared-FIFO drain would return the elephant
-  // run first; the round-robin burst interleaves.
-  uint16_t port_q0 = 0, port_q1 = 0;
-  for (uint16_t port = 40000; port_q0 == 0 || port_q1 == 0; ++port) {
-    auto flow = moppkt::PeekFlow(FlowDatagram(port));
-    ASSERT_TRUE(flow.ok());
-    (moppkt::FlowLaneOf(flow.value(), 2) == 0 ? port_q0 : port_q1) = port;
-  }
-  for (uint32_t i = 0; i < 6; ++i) {
-    tun.InjectOutgoing(FlowDatagram(port_q0, 101 + i * 1460));
-  }
-  tun.InjectOutgoing(FlowDatagram(port_q1));
-  std::vector<mopdroid::TunDevice::OutPacket> burst;
-  ASSERT_EQ(tun.ReadOutgoingBurst(3, &burst), 3u);
-  // One per non-empty queue per turn: q0, q1, then q0 again.
-  auto port_of = [](const mopdroid::TunDevice::OutPacket& p) {
-    return moppkt::ParsePacket(p.data.bytes()).value().tcp->src_port;
-  };
-  EXPECT_EQ(port_of(burst[0]), port_q0);
-  EXPECT_EQ(port_of(burst[1]), port_q1);
-  EXPECT_EQ(port_of(burst[2]), port_q0);
-  // The rest of the elephant drains in FIFO order.
-  burst.clear();
-  ASSERT_EQ(tun.ReadOutgoingBurst(16, &burst), 4u);
-  uint32_t prev_seq = 0;
-  for (const auto& p : burst) {
-    uint32_t seq = moppkt::ParsePacket(p.data.bytes()).value().tcp->seq;
-    EXPECT_EQ(port_of(p), port_q0);
-    EXPECT_GT(seq, prev_seq);
-    prev_seq = seq;
-  }
-  EXPECT_FALSE(tun.HasOutgoing());
-}
-
-TEST(TunDeviceMultiQueue, SingleQueueKeepsLegacyFifoOrder) {
-  mopsim::EventLoop loop;
-  mopdroid::TunDevice tun(&loop);  // default: one queue, the paper model
-  ASSERT_EQ(tun.queue_count(), 1u);
   for (uint16_t port = 40000; port < 40008; ++port) {
     tun.InjectOutgoing(FlowDatagram(port));
   }
-  // Strict injection order across flows — no sharding, no rotation.
+  // Strict injection order across flows: one FIFO, no sharding, no rotation.
   for (uint16_t port = 40000; port < 40008; ++port) {
     auto p = tun.ReadOutgoing();
     ASSERT_TRUE(p.has_value());
     EXPECT_EQ(moppkt::ParsePacket(p->data.bytes()).value().tcp->src_port, port);
   }
 }
-
-TEST(TunDeviceMultiQueue, PerQueueDeliveryAndHighWaterTallies) {
-  mopsim::EventLoop loop;
-  mopdroid::TunDevice tun(&loop);
-  tun.ConfigureQueues(3);
-  int delivered = 0;
-  tun.on_deliver_to_apps = [&](moppkt::PacketBuf) { ++delivered; };
-  moppkt::BufPool pool;
-  tun.WriteIncoming(2, pool.AcquireCopy(FlowDatagram(40000)));
-  tun.WriteIncoming(2, pool.AcquireCopy(FlowDatagram(40001)));
-  tun.WriteIncoming(0, pool.AcquireCopy(FlowDatagram(40002)));
-  EXPECT_EQ(delivered, 3);
-  EXPECT_EQ(tun.queue_packets_in(2), 2u);
-  EXPECT_EQ(tun.queue_packets_in(0), 1u);
-  EXPECT_EQ(tun.queue_packets_in(1), 0u);
-  EXPECT_EQ(tun.packets_in(), 3u);
-  // Ingress high water is tracked per queue as well as globally.
-  std::vector<uint8_t> wire = FlowDatagram(40010);
-  auto flow = moppkt::PeekFlow(wire);
-  ASSERT_TRUE(flow.ok());
-  size_t q = moppkt::FlowLaneOf(flow.value(), 3);
-  tun.InjectOutgoing(wire);
-  tun.InjectOutgoing(FlowDatagram(40010, 1561));
-  EXPECT_EQ(tun.queue_high_water(q), 2u);
-}
-
-TEST(TunDeviceMultiQueueDeathTest, ReconfigureAfterTrafficAborts) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  mopsim::EventLoop loop;
-  mopdroid::TunDevice tun(&loop);
-  tun.InjectOutgoing(FlowDatagram(40000));
-  // Queued packets were classified under the old queue count; re-sharding
-  // them silently would break per-flow FIFO. MOP_CHECK is active in all
-  // build types, so this aborts in Release too.
-  EXPECT_DEATH(tun.ConfigureQueues(4), "before any traffic");
-}
-
-#if MOPEYE_LANE_CHECKS
-
-TEST(TunQueueAffinityDeathTest, ForeignLaneWritingOwnedQueueAborts) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  mopsim::EventLoop loop;
-  mopdroid::TunDevice tun(&loop);
-  tun.ConfigureQueues(2);
-  {
-    mopcc::LaneScope scope(0);  // lane 0 owns queue 0 exclusively
-    tun.CheckQueueWriteAffinity(0);
-  }
-  {
-    mopcc::LaneScope scope(1);  // its own queue is fine
-    tun.CheckQueueWriteAffinity(1);
-  }
-  EXPECT_DEATH(
-      {
-        mopcc::LaneScope scope(1);  // lane 1 flushing lane 0's queue is not
-        tun.CheckQueueWriteAffinity(0);
-      },
-      "lane-affinity violation");
-}
-
-#else  // !MOPEYE_LANE_CHECKS
-
-TEST(TunQueueAffinity, CompiledOutInRelease) {
-  // The per-queue writer stamp must vanish under NDEBUG: foreign-context
-  // writes are silent no-ops, exactly like the bare LaneAffinityChecker.
-  mopsim::EventLoop loop;
-  mopdroid::TunDevice tun(&loop);
-  tun.ConfigureQueues(2);
-  tun.CheckQueueWriteAffinity(0);
-  std::thread([&] { tun.CheckQueueWriteAffinity(0); }).join();  // must be silent
-}
-
-#endif  // MOPEYE_LANE_CHECKS
 
 TEST(ProcNet, RenderParsesBackExactly) {
   mopnet::KernelConnTable table;

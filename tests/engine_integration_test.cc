@@ -590,14 +590,12 @@ struct SkewRunResult {
   std::vector<std::vector<uint8_t>> sent;      // per connection, index order
   uint64_t steals = 0;          // reader-brokered re-homings
   uint64_t steal_handoffs = 0;  // victim-side handoff completions
-  uint64_t acks_coalesced = 0;  // gather-tail pure-ACK collapses
   uint64_t unknown_flow = 0;
   uint64_t parse_errors = 0;
   size_t rehomed_flows = 0;  // flows whose live route left their hash lane
 };
 
-SkewRunResult RunSkewedScenario(bool steal_enabled, bool ack_coalescing = false,
-                                int tun_queues = 0) {
+SkewRunResult RunSkewedScenario(bool steal_enabled) {
   constexpr int kConns = 8;
   constexpr size_t kLanes = 4;
   TestWorld w;
@@ -607,10 +605,6 @@ SkewRunResult RunSkewedScenario(bool steal_enabled, bool ack_coalescing = false,
   cfg.steal_enabled = steal_enabled;
   cfg.steal_queue_threshold = 4;  // test-scale traffic must cross it
   cfg.lane_tun_write = true;      // gathered egress races re-homing hardest
-  cfg.ack_coalescing = ack_coalescing;
-  if (tun_queues > 0) {
-    cfg.tun_queues = tun_queues;
-  }
   EXPECT_TRUE(w.StartEngine(cfg).ok());
   auto* app = w.MakeApp(10180, "com.example.skew", "SkewApp");
   (void)app;
@@ -671,7 +665,6 @@ SkewRunResult RunSkewedScenario(bool steal_enabled, bool ack_coalescing = false,
   auto counters = w.engine().counters();
   out.steals = w.engine().tun_reader()->steals();
   out.steal_handoffs = counters.steal_handoffs;
-  out.acks_coalesced = counters.acks_coalesced;
   out.unknown_flow = counters.unknown_flow;
   out.parse_errors = counters.parse_errors;
   return out;
@@ -719,52 +712,66 @@ TEST(EngineSteal, StealingPreservesExactMeasurementRecords) {
   }
 }
 
-// ---- Multi-queue tun egress + pure-ACK coalescing (thread model v4) ----
+// ---- Gathered lane egress vs the TunWriter path ----
+
+// A sink that keeps every byte it receives, for byte-exact upload checks.
+class CollectingSink : public mopnet::ServerBehavior {
+ public:
+  explicit CollectingSink(std::vector<uint8_t>* got) : got_(got) {}
+  void OnData(mopnet::ServerConn&, std::span<const uint8_t> data) override {
+    got_->insert(got_->end(), data.begin(), data.end());
+  }
+
+ private:
+  std::vector<uint8_t>* got_;
+};
 
 // One deterministic upload-heavy run: sink servers never send payload back,
-// so every relay->app packet after the handshake is a pure ACK and the lane
-// gather buffers fill with long same-flow ACK runs — the coalescer's best
-// case. Echo connections interleave data segments (splitting runs), and one
-// connection closes mid-run so FIN traffic lands inside the others' runs.
-struct CoalesceRunResult {
+// so after the handshake the relay->app traffic of a sink flow is its pure
+// ACKs, one per flushed socket write (§2.3 "Socket Write"). Echo connections
+// interleave data segments, and one connection closes mid-run so FIN
+// traffic lands inside the others' uploads.
+struct UploadRunResult {
   std::vector<std::string> records;            // canonical projection, sorted
   std::vector<std::vector<uint8_t>> received;  // per connection, index order
   std::vector<std::vector<uint8_t>> sent;      // per connection, index order
-  uint64_t acks_coalesced = 0;
+  std::vector<std::vector<uint8_t>> at_server;  // per connection, index order
   uint64_t bytes_app_to_server = 0;
   uint64_t bytes_server_to_app = 0;
+  uint64_t data_segments = 0;   // app->relay segments carrying payload
+  uint64_t tun_packets_in = 0;  // relay->app packets written to the tun
   uint64_t unknown_flow = 0;
   uint64_t parse_errors = 0;
 };
 
-CoalesceRunResult RunUploadScenario(bool ack_coalescing) {
+UploadRunResult RunUploadScenario(bool lane_tun_write) {
   constexpr int kConns = 6;
   TestWorld w;
   mopeye::Config cfg;
   cfg.worker_lanes = 4;
-  cfg.tun_queues = 4;  // lanes own their queues exclusively
   cfg.tun_read_batch = 8;
-  cfg.lane_tun_write = true;  // coalescing lives in the gather buffer
-  cfg.ack_coalescing = ack_coalescing;
+  cfg.lane_tun_write = lane_tun_write;
   EXPECT_TRUE(w.StartEngine(cfg).ok());
   auto* app = w.MakeApp(10190, "com.example.upload.acks", "AckApp");
   (void)app;
 
-  CoalesceRunResult out;
+  UploadRunResult out;
   out.received.resize(kConns);
   out.sent.resize(kConns);
+  out.at_server.resize(kConns);
   std::vector<std::shared_ptr<mopapps::AppTcpConnection>> conns;
   for (int i = 0; i < kConns; ++i) {
     // Conns 0-2 bulk-upload into sinks, conns 3-4 echo (reflected data
-    // segments split the ACK runs), conn 5 uploads a little then closes
-    // early (its FIN handshake lands mid-run for everyone else).
+    // segments interleave with the ACKs), conn 5 uploads a little then
+    // closes early (its FIN handshake lands mid-run for everyone else).
     const bool echo = i == 3 || i == 4;
+    std::vector<uint8_t>* at_server = &out.at_server[i];
     auto addr = w.AddServer(
         moppkt::IpAddr(93, 44, 0, static_cast<uint8_t>(1 + i)), 7, Millis(5),
         echo ? mopnet::BehaviorFactory(
                    [] { return std::make_unique<mopnet::EchoBehavior>(); })
              : mopnet::BehaviorFactory(
-                   [] { return std::make_unique<mopnet::SinkBehavior>(); }));
+                   [at_server] { return std::make_unique<CollectingSink>(at_server); }));
     auto conn = mopapps::AppTcpConnection::Create(&w.stack(), 10190);
     const int bytes = i == 5 ? 8000 : 120000 + 7919 * i;
     for (int b = 0; b < bytes; ++b) {
@@ -791,75 +798,99 @@ CoalesceRunResult RunUploadScenario(bool ack_coalescing) {
   }
   std::sort(out.records.begin(), out.records.end());
   auto counters = w.engine().counters();
-  out.acks_coalesced = counters.acks_coalesced;
   out.bytes_app_to_server = counters.bytes_app_to_server;
   out.bytes_server_to_app = counters.bytes_server_to_app;
+  out.data_segments = counters.data_segments;
+  out.tun_packets_in = w.engine().vpn().tun()->packets_in();
   out.unknown_flow = counters.unknown_flow;
   out.parse_errors = counters.parse_errors;
   return out;
 }
 
-TEST(EngineCoalesce, UploadHeavyRunsCoalesceWithoutChangingStreamsOrRecords) {
-  CoalesceRunResult on = RunUploadScenario(/*ack_coalescing=*/true);
-  CoalesceRunResult off = RunUploadScenario(/*ack_coalescing=*/false);
+TEST(EngineLaneEgress, UploadMatchesTunWriterPathWithOneAckPerSocketWrite) {
+  UploadRunResult lane = RunUploadScenario(/*lane_tun_write=*/true);
+  UploadRunResult writer = RunUploadScenario(/*lane_tun_write=*/false);
 
-  // The knob did real work in the on-run and exactly nothing in the off-run.
-  EXPECT_GT(on.acks_coalesced, 0u);
-  EXPECT_EQ(off.acks_coalesced, 0u);
-
-  // Byte-level stream equivalence: every upload completed in full — the
-  // collapsed ACK stream still carried every window opening the sender
-  // needed — and the echo streams came back byte-identical in both runs.
+  // Byte-level stream equivalence: every upload reached its server in full
+  // and the echo streams came back byte-identical on both egress paths.
   uint64_t total_sent = 0;
-  for (size_t i = 0; i < on.sent.size(); ++i) {
-    total_sent += on.sent[i].size();
+  for (size_t i = 0; i < lane.sent.size(); ++i) {
+    total_sent += lane.sent[i].size();
     if (i == 3 || i == 4) {
-      EXPECT_EQ(on.received[i], on.sent[i]) << "conn " << i << " (coalescing on)";
-      EXPECT_EQ(off.received[i], off.sent[i]) << "conn " << i << " (coalescing off)";
+      EXPECT_EQ(lane.received[i], lane.sent[i]) << "conn " << i << " (lane egress)";
+      EXPECT_EQ(writer.received[i], writer.sent[i]) << "conn " << i << " (TunWriter)";
     } else {
-      EXPECT_TRUE(on.received[i].empty()) << "conn " << i;  // sinks never reply
-      EXPECT_TRUE(off.received[i].empty()) << "conn " << i;
+      EXPECT_EQ(lane.at_server[i], lane.sent[i]) << "conn " << i << " (lane egress)";
+      EXPECT_EQ(writer.at_server[i], writer.sent[i]) << "conn " << i << " (TunWriter)";
+      EXPECT_TRUE(lane.received[i].empty()) << "conn " << i;  // sinks never reply
+      EXPECT_TRUE(writer.received[i].empty()) << "conn " << i;
     }
   }
-  EXPECT_EQ(on.bytes_app_to_server, total_sent);
-  EXPECT_EQ(off.bytes_app_to_server, total_sent);
-  EXPECT_EQ(on.bytes_server_to_app, off.bytes_server_to_app);
+  EXPECT_EQ(lane.bytes_app_to_server, total_sent);
+  EXPECT_EQ(writer.bytes_app_to_server, total_sent);
+  EXPECT_EQ(lane.bytes_server_to_app, writer.bytes_server_to_app);
 
-  // Identical measurement records: coalescing is an egress optimization,
+  // Identical measurement records: the egress path is a scheduling choice,
   // invisible to the product of the system.
-  EXPECT_EQ(on.records, off.records);
-  ASSERT_EQ(on.records.size(), 6u);  // one TCP connect per flow
-  EXPECT_EQ(on.unknown_flow, 0u);
-  EXPECT_EQ(on.parse_errors, 0u);
-  EXPECT_EQ(off.unknown_flow, 0u);
-  EXPECT_EQ(off.parse_errors, 0u);
+  EXPECT_EQ(lane.records, writer.records);
+  ASSERT_EQ(lane.records.size(), 6u);  // one TCP connect per flow
+  EXPECT_EQ(lane.unknown_flow, 0u);
+  EXPECT_EQ(lane.parse_errors, 0u);
+  EXPECT_EQ(writer.unknown_flow, 0u);
+  EXPECT_EQ(writer.parse_errors, 0u);
+
+  // One ACK per socket write, not per staged data segment: a flush that
+  // batches several segments answers them with a single cumulative ACK, so
+  // the relay sends the app fewer packets than the app sent data segments.
+  EXPECT_LT(lane.tun_packets_in, lane.data_segments);
 }
 
-TEST(EngineCoalesce, CoalescingSurvivesRehomedFlowsMidRun) {
-  // The adversarial composition: every flow hashes to lane 0, stealing
-  // re-homes elephants mid-transfer, and the re-homed lanes keep coalescing
-  // ACK runs on their own tun queues. Stream bytes and measurement records
-  // must match a coalescing-off run exactly.
-  SkewRunResult on =
-      RunSkewedScenario(/*steal_enabled=*/true, /*ack_coalescing=*/true, /*tun_queues=*/4);
-  SkewRunResult off =
-      RunSkewedScenario(/*steal_enabled=*/true, /*ack_coalescing=*/false, /*tun_queues=*/4);
+// An app that sends and closes at once must not lose its tail. Two things
+// must hold: an app FIN handled while a flushed socket write is still
+// waiting out its socket_op cost must not close the channel under that
+// write, and the socket's FIN must not overtake data queued on the uplink.
+TEST(EngineLaneEgress, SendThenCloseDeliversEveryByte) {
+  constexpr int kConns = 48;
+  for (int read_batch : {1, 32}) {
+    SCOPED_TRACE("tun_read_batch=" + std::to_string(read_batch));
+    TestWorld w;
+    mopeye::Config cfg;
+    cfg.worker_lanes = 8;
+    cfg.tun_read_batch = read_batch;
+    cfg.lane_tun_write = true;
+    ASSERT_TRUE(w.StartEngine(cfg).ok());
+    w.MakeApp(10191, "com.example.upload.close", "CloseApp");
 
-  EXPECT_GT(on.steals, 0u);
-  EXPECT_GT(on.rehomed_flows, 0u);
-  EXPECT_GT(on.acks_coalesced, 0u);
-  EXPECT_EQ(off.acks_coalesced, 0u);
+    std::vector<std::vector<uint8_t>> sent(kConns);
+    std::vector<std::vector<uint8_t>> at_server(kConns);
+    std::vector<std::shared_ptr<mopapps::AppTcpConnection>> conns;
+    for (int i = 0; i < kConns; ++i) {
+      std::vector<uint8_t>* sink = &at_server[i];
+      auto addr = w.AddServer(moppkt::IpAddr(93, 45, 0, static_cast<uint8_t>(1 + i)), 80,
+                              Millis(5),
+                              [sink] { return std::make_unique<CollectingSink>(sink); });
+      auto conn = mopapps::AppTcpConnection::Create(&w.stack(), 10191);
+      for (int b = 0; b < 20000 + 4099 * i; ++b) {
+        sent[i].push_back(static_cast<uint8_t>((b * 29 + i) & 0xff));
+      }
+      auto payload = sent[i];
+      conn->Connect(addr, [conn, payload = std::move(payload)](moputil::Status st) mutable {
+        ASSERT_TRUE(st.ok());
+        conn->Send(std::move(payload));
+        conn->Close();  // FIN queued right behind the last data segment
+      });
+      conns.push_back(std::move(conn));
+    }
+    w.RunMs(20000);
 
-  for (size_t i = 0; i < on.sent.size(); ++i) {
-    EXPECT_EQ(on.received[i], on.sent[i]) << "conn " << i << " (coalescing on)";
-    EXPECT_EQ(off.received[i], off.sent[i]) << "conn " << i << " (coalescing off)";
+    uint64_t total_sent = 0;
+    for (int i = 0; i < kConns; ++i) {
+      total_sent += sent[i].size();
+      EXPECT_EQ(at_server[i].size(), sent[i].size()) << "conn " << i;
+      EXPECT_TRUE(at_server[i] == sent[i]) << "conn " << i;
+    }
+    EXPECT_EQ(w.engine().counters().bytes_app_to_server, total_sent);
   }
-  EXPECT_EQ(on.records, off.records);
-  ASSERT_EQ(on.records.size(), 8u);
-  EXPECT_EQ(on.unknown_flow, 0u);
-  EXPECT_EQ(on.parse_errors, 0u);
-  EXPECT_EQ(off.unknown_flow, 0u);
-  EXPECT_EQ(off.parse_errors, 0u);
 }
 
 TEST(EngineIntegration, BrowsingSessionEndToEnd) {

@@ -152,6 +152,43 @@ TEST(SocketChannel, ServerCloseDeliversEof) {
   EXPECT_EQ(ch->state(), mopnet::ChannelState::kPeerClosed);
 }
 
+// A sink that records when each byte and the half-close reach the server.
+class ArrivalLog : public mopnet::ServerBehavior {
+ public:
+  ArrivalLog(size_t* bytes, size_t* bytes_at_half_close)
+      : bytes_(bytes), bytes_at_half_close_(bytes_at_half_close) {}
+  void OnData(mopnet::ServerConn&, std::span<const uint8_t> data) override {
+    *bytes_ += data.size();
+  }
+  void OnHalfClose(mopnet::ServerConn& conn) override {
+    *bytes_at_half_close_ = *bytes_;
+    conn.Close();
+  }
+
+ private:
+  size_t* bytes_;
+  size_t* bytes_at_half_close_;
+};
+
+TEST(SocketChannel, CloseDoesNotOvertakeQueuedUplinkData) {
+  NetFixture f;  // 25 Mbps uplink: 100 kB takes 32 ms to serialize
+  IpAddr ip(93, 0, 0, 6);
+  size_t bytes = 0;
+  size_t bytes_at_half_close = 0;
+  f.farm.AddTcpServer({ip, 80}, [&] {
+    return std::make_unique<ArrivalLog>(&bytes, &bytes_at_half_close);
+  });
+  auto ch = mopnet::SocketChannel::Create(&f.ctx);
+  ch->Connect({ip, 80}, [&](moputil::Status st) {
+    ASSERT_TRUE(st.ok());
+    ch->Write(std::vector<uint8_t>(100000, 0x5a));
+    ch->Close();
+  });
+  f.loop.Run();
+  EXPECT_EQ(bytes, 100000u);
+  EXPECT_EQ(bytes_at_half_close, 100000u);
+}
+
 TEST(SocketChannel, ResetBehaviorDeliversReset) {
   NetFixture f;
   IpAddr ip(93, 0, 0, 6);

@@ -29,8 +29,8 @@ memory (ROADMAP standing rules) and now fails CI:
                  knows the tally idioms that actually grew in this codebase —
                  uint64_t *_read / *_polls instrumentation members,
                  *high_water peaks (uint64_t or size_t), and
-                 std::vector<uint64_t>/<size_t> arrays of either (the
-                 per-queue egress tally shape) — so a counter migrated onto
+                 std::vector<uint64_t>/<size_t> arrays of either (per-queue
+                 or per-lane tally arrays) — so a counter migrated onto
                  the registry can't quietly regress later.
 
 Suppress a finding with a trailing or preceding-line comment:
@@ -83,9 +83,9 @@ INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([^"]+)"')
 # not a tally — keeping the legacy suffixes uint64_t-only avoids flagging
 # honest cardinalities), high-water peaks in either width (those are gauges
 # and grew as size_t everywhere), and std::vector<uint64_t>/<size_t> arrays
-# of either — the per-queue/per-lane tally idiom the multi-queue egress work
-# introduced (the registry's lane-sharded counters are the sanctioned form;
-# layering-pinned exceptions carry an explicit waiver).
+# of either — per-queue/per-lane tally arrays (the registry's lane-sharded
+# counters are the sanctioned form; layering-pinned exceptions carry an
+# explicit waiver).
 RAW_COUNTER_RE = re.compile(
     r"\b(?:"
     r"(?P<t1>uint64_t)\s+(?P<n1>[A-Za-z_]\w*?(?:_count|_counter|_total|_read|_poll)s?_?)"

@@ -2,7 +2,7 @@
 // the *_count / *_counter / *_total suffix convention, plus the
 // instrumentation idioms that actually grew in this codebase before the
 // telemetry registry existed (*_read / *_polls tallies, *high_water peaks,
-// and — with multi-queue egress — std::vector arrays of the same shapes) —
+// and std::vector arrays of the same shapes) —
 // all of which belong on the moptel::Registry instead.
 #include <cstddef>
 #include <cstdint>

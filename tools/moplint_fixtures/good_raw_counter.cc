@@ -15,7 +15,7 @@ struct CleanStats {
   uint64_t legacy_frames_count_ = 0;  // moplint-allow: raw-counter
   // A peak gauge a lower layer can't register (layering), explicitly waived:
   size_t pool_high_water_ = 0;  // moplint-allow: raw-counter
-  // Per-queue tallies below the telemetry layer (the tun_device shape),
+  // Per-queue tallies below the telemetry layer,
   // exported upstairs via AddExternalCounter, explicitly waived:
   std::vector<uint64_t> queue_frames_total_;  // moplint-allow: raw-counter
   // The sanctioned pattern: a registry-owned counter, held by pointer.

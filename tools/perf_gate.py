@@ -2,11 +2,10 @@
 """perf_gate: stage-timing regression gate for the relay hot path.
 
 `table3_throughput --lanes=N --stage-json=FILE` dumps the telemetry registry
-(including the per-stage mopeye_relay_stage_*_ms histograms and, with
---tun-queues=N, the per-queue mopeye_tun_queue_flush_q*_ms gathered-flush
-histograms) after the 48-client scaling run. This gate compares each stage's
-p95 against the checked-in reference and fails when any stage regressed by
-more than --max-ratio (default 2x).
+(including the per-stage mopeye_relay_stage_*_ms histograms) after the
+48-client scaling run. This gate compares each stage's p95 against the
+checked-in reference and fails when any stage regressed by more than
+--max-ratio (default 2x).
 
 The stage costs are *simulated* (virtual time drawn from seeded cost models),
 so they are deterministic for a given seed and identical across build types
@@ -27,21 +26,8 @@ import json
 import os
 import sys
 
-# Histograms the gate tracks: relay stages, and (thread model v4) the
-# per-tun-queue gathered-flush timings. Both end in _ms.
-STAGE_PREFIXES = ("mopeye_relay_stage_", "mopeye_tun_queue_")
-STAGE_PREFIX = STAGE_PREFIXES[0]  # used for display shortening
+STAGE_PREFIX = "mopeye_relay_stage_"
 STAGE_SUFFIX = "_ms"
-
-
-def stage_short_name(name):
-    """Display name: strip whichever tracked prefix matched plus the unit."""
-    for prefix in STAGE_PREFIXES:
-        if name.startswith(prefix):
-            # Keep per-queue keys distinguishable: tun_queue_flush_q3 etc.
-            stripped = name[len(prefix):-len(STAGE_SUFFIX)]
-            return stripped if prefix == STAGE_PREFIX else "tun_queue_" + stripped
-    return name
 
 
 def load_stages(path):
@@ -59,7 +45,7 @@ def load_stages(path):
                          f"top level, got {type(registry).__name__}")
     stages = {}
     for name, entry in registry.items():
-        if not (name.startswith(STAGE_PREFIXES) and name.endswith(STAGE_SUFFIX)):
+        if not (name.startswith(STAGE_PREFIX) and name.endswith(STAGE_SUFFIX)):
             continue
         if entry.get("type") != "histogram":
             continue
@@ -87,8 +73,7 @@ def main(argv=None):
 
     current = load_stages(args.stage_json)
     if not current:
-        prefixes = "|".join(STAGE_PREFIXES)
-        print(f"perf_gate: no ({prefixes})*{STAGE_SUFFIX} histograms with "
+        print(f"perf_gate: no {STAGE_PREFIX}*{STAGE_SUFFIX} histograms with "
               f"samples in {args.stage_json}", file=sys.stderr)
         return 1
 
@@ -119,7 +104,7 @@ def main(argv=None):
     failures = []
     rows = []
     for name in sorted(set(ref) | set(current)):
-        short = stage_short_name(name)
+        short = name[len(STAGE_PREFIX):-len(STAGE_SUFFIX)]
         ref_entry = ref.get(name)
         if ref_entry is not None and (
                 not isinstance(ref_entry, dict)
