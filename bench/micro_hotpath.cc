@@ -1,6 +1,7 @@
 // google-benchmark micro benches over the relay's hot paths: packet
-// parse/build, checksums, DNS codec, the TCP state machine, and the
-// real-thread queue algorithms (oldPut vs newPut) under contention.
+// parse/build, checksums, DNS codec, the TCP state machine, the simulated
+// kernel's event loop and socket receive path, and the real-thread queue
+// algorithms (oldPut vs newPut) under contention.
 //
 // The README performance section records before/after numbers for the
 // zero-copy refactor; re-run with --benchmark_min_time=0.2s when updating it.
@@ -14,12 +15,16 @@
 #include "baselines/presets.h"
 #include "concurrent/packet_queue.h"
 #include "core/tcp_state_machine.h"
+#include "net/net_context.h"
+#include "net/server.h"
+#include "net/socket.h"
 #include "netpkt/checksum.h"
 #include "netpkt/dns.h"
 #include "netpkt/packet.h"
 #include "netpkt/packet_buf.h"
 #include "netpkt/tcp.h"
 #include "netpkt/tcp_template.h"
+#include "sim/event_loop.h"
 #include "telemetry/metrics.h"
 #include "tests/test_world.h"
 #include "util/rng.h"
@@ -424,6 +429,75 @@ void BM_TcpStateMachineRelay(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TcpStateMachineRelay);
+
+// Event-loop schedule/pop cycle at a steady heap depth: every event, when it
+// runs, schedules its successor a random delay ahead and stops the loop, so
+// each iteration is one pop + one push with `range(0)` events pending.
+void BM_EventLoopChurn(benchmark::State& state) {
+  const int pending = static_cast<int>(state.range(0));
+  mopsim::EventLoop loop;
+  moputil::Rng rng(42);
+  std::function<void()> tick = [&] {
+    loop.Schedule(moputil::Micros(rng.UniformInt(1, 1000)), tick);
+    loop.Stop();
+  };
+  for (int i = 0; i < pending; ++i) {
+    loop.Schedule(moputil::Micros(rng.UniformInt(1, 1000)), tick);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(loop.Run());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventLoopChurn)->Arg(1 << 10)->Arg(1 << 16);
+
+// Keeps a handle on its ServerConn so the bench can push data at will.
+class HeldConn : public mopnet::ServerBehavior {
+ public:
+  explicit HeldConn(std::shared_ptr<mopnet::ServerConn>* out) : out_(out) {}
+  void OnConnect(mopnet::ServerConn& conn) override { *out_ = conn.shared_from_this(); }
+
+ private:
+  std::shared_ptr<mopnet::ServerConn>* out_;
+};
+
+// Simulated-kernel receive path: 2 MiB of SendBytes pattern delivered in MSS
+// pieces into one socket, then drained with 64 KiB reads.
+void BM_SocketBulkDeliverRead(benchmark::State& state) {
+  constexpr size_t kBytes = 2 * 1024 * 1024;
+  mopsim::EventLoop loop;
+  mopnet::PathTable paths;
+  paths.SetDefault(std::make_shared<moputil::FixedDelay>(moputil::Millis(2)));
+  mopnet::ServerFarm farm;
+  mopnet::NetworkProfile profile;
+  profile.first_hop_one_way = std::make_shared<moputil::FixedDelay>(moputil::Micros(200));
+  profile.downlink_bps = 10e9;
+  mopnet::NetContext ctx(&loop, profile, &paths, &farm, moputil::Rng(7));
+  moppkt::SocketAddr server{moppkt::IpAddr(93, 80, 0, 1), 80};
+  std::shared_ptr<mopnet::ServerConn> conn;
+  farm.AddTcpServer(server, [&conn] { return std::make_unique<HeldConn>(&conn); });
+  auto ch = mopnet::SocketChannel::Create(&ctx);
+  ch->Connect(server, [](moputil::Status) {});
+  loop.Run();
+  if (!conn || ch->state() != mopnet::ChannelState::kConnected) {
+    state.SkipWithError("connect failed");
+    return;
+  }
+  std::vector<uint8_t> buf(64 * 1024);
+  for (auto _ : state) {
+    conn->SendBytes(kBytes);
+    loop.Run();
+    size_t total = 0;
+    while (size_t n = ch->Read(buf)) {
+      total += n;
+    }
+    benchmark::DoNotOptimize(buf.data());
+    benchmark::DoNotOptimize(total);
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * kBytes));
+}
+BENCHMARK(BM_SocketBulkDeliverRead)->Unit(benchmark::kMillisecond);
 
 // Real-thread producer put() cost with a live consumer: the Table 1
 // algorithms under genuine contention.

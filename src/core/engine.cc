@@ -1032,15 +1032,13 @@ void MopEyeEngine::HandleSocketReadable(const std::shared_ptr<TcpClient>& client
   }
   WorkerLane* home = client->home;
   // §2.3 "Socket Read": pull from the (64 KiB) read buffer and construct data
-  // packets for the internal connection. The read lands in the lane-wide
-  // scratch; only the bytes actually read are carried across the lane hop.
-  home->socket_read_scratch.resize(config_.socket_buffer);
-  size_t n = client->channel->Read(home->socket_read_scratch);
+  // packets for the internal connection. The read lands directly in the
+  // buffer carried across the lane hop, sized to what is there to read.
+  std::vector<uint8_t> buf(std::min(client->channel->available(), config_.socket_buffer));
+  size_t n = client->channel->Read(buf);
   if (n == 0) {
     return;
   }
-  std::vector<uint8_t> buf(home->socket_read_scratch.begin(),
-                           home->socket_read_scratch.begin() + static_cast<long>(n));
   home->counters.bytes_server_to_app += n;
   moputil::SimDuration cost = config_.costs.socket_op->Sample(home->rng);
   if (config_.content_inspection) {

@@ -302,8 +302,6 @@ class MopEyeEngine {
     // measurement born on this lane gets (lane, ++trace_seq) in its
     // TraceContext, so ids are unique per device without cross-lane state.
     uint32_t trace_seq = 0;
-    // Reused destination for this lane's synchronous external-socket reads.
-    std::vector<uint8_t> socket_read_scratch;
     // Work stealing, thief side: flows whose kHandoffIn token this lane has
     // seen but whose state the victim has not handed over yet. Packets of an
     // arriving flow are parked (in order) instead of processed, then drained

@@ -54,7 +54,8 @@ class ServerConn : public std::enable_shared_from_this<ServerConn> {
 
   // Streams `data` to the client (chunked through the downlink).
   void Send(std::vector<uint8_t> data);
-  // Streams `n` pattern bytes (cheap bulk data for throughput runs).
+  // Streams `n` pattern bytes, byte i of the stream being i & 0xff (cheap
+  // bulk data for throughput runs; every piece views one shared buffer).
   void SendBytes(size_t n);
   // Graceful close (FIN after all queued data).
   void Close();
@@ -73,6 +74,11 @@ class ServerConn : public std::enable_shared_from_this<ServerConn> {
 
  private:
   friend class SocketChannel;
+  // Streams `n` bytes of `buf`, one MSS piece per arrival event; the piece at
+  // stream offset o views `buf` from o & offset_mask.
+  void SendShared(const std::shared_ptr<const std::vector<uint8_t>>& buf, size_t n,
+                  size_t offset_mask);
+
   std::weak_ptr<SocketChannel> client_;
   NetContext* ctx_;
   moppkt::SocketAddr server_addr_;

@@ -1,6 +1,7 @@
 #include "net/socket.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "net/selector.h"
 #include "util/logging.h"
@@ -48,12 +49,17 @@ const char* SocketEventTypeName(SocketEventType t) {
 namespace {
 constexpr size_t kMss = 1460;
 
-std::vector<uint8_t> PatternBytes(size_t n) {
-  std::vector<uint8_t> v(n);
-  for (size_t i = 0; i < n; ++i) {
-    v[i] = static_cast<uint8_t>(i & 0xff);
-  }
-  return v;
+// The process-wide SendBytes payload: i & 0xff at index i, long enough for
+// an MSS piece starting at any offset in [0, 255].
+const std::shared_ptr<const std::vector<uint8_t>>& PatternBuffer() {
+  static const std::shared_ptr<const std::vector<uint8_t>> pattern = [] {
+    auto v = std::make_shared<std::vector<uint8_t>>(kMss + 256);
+    for (size_t i = 0; i < v->size(); ++i) {
+      (*v)[i] = static_cast<uint8_t>(i & 0xff);
+    }
+    return v;
+  }();
+  return pattern;
 }
 }  // namespace
 
@@ -66,6 +72,14 @@ ServerConn::ServerConn(std::weak_ptr<SocketChannel> client, NetContext* ctx,
 mopsim::EventLoop* ServerConn::loop() { return ctx_->loop(); }
 
 void ServerConn::Send(std::vector<uint8_t> data) {
+  size_t n = data.size();
+  SendShared(std::make_shared<const std::vector<uint8_t>>(std::move(data)), n, ~size_t{0});
+}
+
+void ServerConn::SendBytes(size_t n) { SendShared(PatternBuffer(), n, 0xff); }
+
+void ServerConn::SendShared(const std::shared_ptr<const std::vector<uint8_t>>& buf, size_t n,
+                            size_t offset_mask) {
   if (closed_) {
     return;
   }
@@ -74,25 +88,20 @@ void ServerConn::Send(std::vector<uint8_t> data) {
     return;
   }
   moputil::SimTime now = ctx_->loop()->Now();
-  size_t offset = 0;
-  while (offset < data.size()) {
-    size_t chunk = std::min(kMss, data.size() - offset);
-    std::vector<uint8_t> piece(data.begin() + static_cast<long>(offset),
-                               data.begin() + static_cast<long>(offset + chunk));
+  for (size_t offset = 0; offset < n; offset += kMss) {
+    size_t chunk = std::min(kMss, n - offset);
     moputil::SimTime arrival = ctx_->downlink().DeliverAfter(now + one_way_, chunk);
     arrival = std::max(arrival, client->last_client_delivery_);
     client->last_client_delivery_ = arrival;
     std::weak_ptr<SocketChannel> weak = client_;
-    ctx_->loop()->ScheduleAt(arrival, [weak, piece = std::move(piece)]() mutable {
-      if (auto ch = weak.lock()) {
-        ch->DeliverFromServer(std::move(piece));
-      }
-    });
-    offset += chunk;
+    ctx_->loop()->ScheduleAt(
+        arrival, [weak, piece = ByteSlice{buf, offset & offset_mask, chunk}]() mutable {
+          if (auto ch = weak.lock()) {
+            ch->DeliverFromServer(std::move(piece));
+          }
+        });
   }
 }
-
-void ServerConn::SendBytes(size_t n) { Send(PatternBytes(n)); }
 
 void ServerConn::Close() {
   if (closed_) {
@@ -284,32 +293,37 @@ void SocketChannel::Write(std::vector<uint8_t> data) {
   moputil::SimTime now = ctx_->loop()->Now();
   ctx_->capture().Record(now, CaptureEvent::kTcpData, CaptureDir::kOut, local_, remote_,
                          data.size());
-  size_t offset = 0;
   auto conn = server_conn_;
-  while (offset < data.size()) {
-    size_t chunk = std::min(kMss, data.size() - offset);
-    std::vector<uint8_t> piece(data.begin() + static_cast<long>(offset),
-                               data.begin() + static_cast<long>(offset + chunk));
+  auto buf = std::make_shared<const std::vector<uint8_t>>(std::move(data));
+  for (size_t offset = 0; offset < buf->size(); offset += kMss) {
+    size_t chunk = std::min(kMss, buf->size() - offset);
     moputil::SimTime departed = ctx_->uplink().DeliverAfter(now, chunk);
     moputil::SimTime arrival = departed + data_one_way_;
     last_server_delivery_ = arrival;
-    ctx_->loop()->ScheduleAt(arrival, [conn, piece = std::move(piece)]() mutable {
+    ctx_->loop()->ScheduleAt(arrival, [conn, piece = ByteSlice{buf, offset, chunk}] {
       if (!conn->client_alive() || conn->behavior() == nullptr) {
         return;
       }
-      conn->add_bytes_received(piece.size());
-      conn->behavior()->OnData(*conn, piece);
+      conn->add_bytes_received(piece.len);
+      conn->behavior()->OnData(*conn, piece.bytes());
     });
-    offset += chunk;
   }
 }
 
 size_t SocketChannel::Read(std::span<uint8_t> out) {
-  size_t n = std::min(out.size(), recv_buf_.size());
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = recv_buf_.front();
-    recv_buf_.pop_front();
+  size_t n = 0;
+  while (n < out.size() && !recv_buf_.empty()) {
+    ByteSlice& front = recv_buf_.front();
+    size_t take = std::min(out.size() - n, front.len);
+    std::memcpy(out.data() + n, front.bytes().data(), take);
+    n += take;
+    front.offset += take;
+    front.len -= take;
+    if (front.len == 0) {
+      recv_buf_.pop_front();
+    }
   }
+  recv_bytes_ -= n;
   return n;
 }
 
@@ -363,7 +377,7 @@ void SocketChannel::RegisterWith(Selector* selector, uint32_t interest) {
   selector->AddChannel(shared_from_this());
   // Level-trigger semantics on registration: data that arrived before the
   // register() call must still produce a read event.
-  if ((interest_ & kOpRead) && !recv_buf_.empty()) {
+  if ((interest_ & kOpRead) && recv_bytes_ > 0) {
     EmitEvent(SocketEventType::kReadable);
   }
 }
@@ -386,7 +400,7 @@ void SocketChannel::MigrateTo(Selector* selector) {
   }
   // Level-trigger safety net: a readable edge consumed at the old selector
   // but not yet acted on must not strand buffered data.
-  if (in_flight.empty() && (interest_ & kOpRead) && !recv_buf_.empty()) {
+  if (in_flight.empty() && (interest_ & kOpRead) && recv_bytes_ > 0) {
     EmitEvent(SocketEventType::kReadable);
   }
 }
@@ -404,15 +418,16 @@ void SocketChannel::EmitEvent(SocketEventType type) {
   }
 }
 
-void SocketChannel::DeliverFromServer(std::vector<uint8_t> bytes) {
+void SocketChannel::DeliverFromServer(ByteSlice piece) {
   if (state_ != ChannelState::kConnected && state_ != ChannelState::kLocalClosed) {
     return;
   }
   moputil::SimTime now = ctx_->loop()->Now();
   ctx_->capture().Record(now, CaptureEvent::kTcpData, CaptureDir::kIn, local_, remote_,
-                         bytes.size());
-  bytes_received_ += bytes.size();
-  recv_buf_.insert(recv_buf_.end(), bytes.begin(), bytes.end());
+                         piece.len);
+  bytes_received_ += piece.len;
+  recv_bytes_ += piece.len;
+  recv_buf_.push_back(std::move(piece));
   if (selector_ != nullptr) {
     if (interest_ & kOpRead) {
       EmitEvent(SocketEventType::kReadable);

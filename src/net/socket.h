@@ -6,6 +6,14 @@
 // close/reset. Event callbacks fire at exact wire times; all software-side
 // latencies (thread wakeup, selector dispatch, parse cost) are added by the
 // engine's ActorLanes, so the capture log doubles as tcpdump ground truth.
+//
+// Bytes cross the simulated kernel without per-byte work. A sender wraps its
+// payload once in an immutable shared buffer, and every MSS piece in flight
+// is a ByteSlice of it, not a copy. The receive buffer is a queue of those
+// slices plus a byte count; Read() memcpys slice by slice. Pattern payloads
+// (ServerConn::SendBytes) all view one process-wide buffer of kMss + 256
+// bytes holding i & 0xff at index i: the piece at stream offset o starts at
+// o & 0xff, so it carries exactly the bytes o, o+1, ... (mod 256).
 #ifndef MOPEYE_NET_SOCKET_H_
 #define MOPEYE_NET_SOCKET_H_
 
@@ -24,6 +32,16 @@
 namespace mopnet {
 
 class Selector;
+
+// A view of `len` bytes at `offset` into a shared immutable buffer; holding
+// the slice keeps the buffer alive.
+struct ByteSlice {
+  std::shared_ptr<const std::vector<uint8_t>> buf;
+  size_t offset = 0;
+  size_t len = 0;
+
+  std::span<const uint8_t> bytes() const { return {buf->data() + offset, len}; }
+};
 
 enum class ChannelState {
   kCreated,
@@ -82,7 +100,7 @@ class SocketChannel : public std::enable_shared_from_this<SocketChannel> {
 
   // Reads up to out.size() bytes from the receive buffer.
   size_t Read(std::span<uint8_t> out);
-  size_t available() const { return recv_buf_.size(); }
+  size_t available() const { return recv_bytes_; }
 
   // Graceful close: FIN toward the server; half-close only ships pending data.
   void Close();
@@ -129,7 +147,7 @@ class SocketChannel : public std::enable_shared_from_this<SocketChannel> {
   void EmitEvent(SocketEventType type);
 
   // Server-side plumbing (called by ServerConn at wire-arrival times).
-  void DeliverFromServer(std::vector<uint8_t> bytes);
+  void DeliverFromServer(ByteSlice piece);
   void ServerClosed();
   void ServerReset();
 
@@ -145,7 +163,8 @@ class SocketChannel : public std::enable_shared_from_this<SocketChannel> {
   moputil::SimTime synack_recv_time_ = 0;
   int syn_retransmits_ = 0;
 
-  std::deque<uint8_t> recv_buf_;
+  std::deque<ByteSlice> recv_buf_;  // unread pieces, oldest first
+  size_t recv_bytes_ = 0;           // sum of recv_buf_ lengths
   uint64_t bytes_sent_ = 0;
   uint64_t bytes_received_ = 0;
 

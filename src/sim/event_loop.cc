@@ -32,29 +32,58 @@ TimerId EventLoop::ScheduleAt(SimTime when, std::function<void()> fn) {
   if (when < now_) {
     when = now_;
   }
-  TimerId id = next_id_++;
-  heap_.push(Event{when, id, std::move(fn)});
-  pending_.insert(id);
-  return id;
+  uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  Slot& s = slots_[slot];
+  s.fn = std::move(fn);
+  s.armed = true;
+  heap_.push(Entry{when, next_seq_++, slot});
+  ++pending_;
+  return (static_cast<TimerId>(s.generation) << 32) | slot;
 }
 
-bool EventLoop::Cancel(TimerId id) { return pending_.erase(id) > 0; }
+bool EventLoop::Cancel(TimerId id) {
+  uint32_t slot = static_cast<uint32_t>(id);
+  if (slot >= slots_.size()) {
+    return false;
+  }
+  Slot& s = slots_[slot];
+  if (s.generation != static_cast<uint32_t>(id >> 32) || !s.armed) {
+    return false;
+  }
+  s.armed = false;
+  --pending_;
+  return true;
+}
 
 bool EventLoop::RunOne(SimTime limit) {
   while (!heap_.empty()) {
-    const Event& top = heap_.top();
+    Entry top = heap_.top();
     if (top.when > limit) {
       return false;
     }
-    if (pending_.find(top.id) == pending_.end()) {  // cancelled
-      heap_.pop();
+    heap_.pop();
+    Slot& s = slots_[top.slot];
+    bool armed = s.armed;
+    std::function<void()> fn = std::move(s.fn);
+    s.fn = nullptr;
+    s.armed = false;
+    if (++s.generation == 0) {
+      s.generation = 1;  // keep kInvalidTimer unissued across wraparound
+    }
+    free_slots_.push_back(top.slot);
+    if (!armed) {  // cancelled: `fn` is destroyed here
       continue;
     }
-    Event ev = std::move(const_cast<Event&>(top));
-    heap_.pop();
-    pending_.erase(ev.id);
-    now_ = ev.when;
-    ev.fn();
+    --pending_;
+    now_ = top.when;
+    fn();
     return true;
   }
   return false;

@@ -1,15 +1,23 @@
 // Deterministic discrete-event loop on a virtual nanosecond clock.
 //
 // Every experiment in this repo runs on one EventLoop. Determinism contract:
-// events at equal timestamps fire in scheduling order (FIFO tie-break), so a
-// fixed seed yields a bit-identical run.
+// events run in (time, scheduling order); events at equal timestamps fire in
+// the order they were scheduled (FIFO tie-break), so a fixed seed yields a
+// bit-identical run.
+//
+// Layout: the heap holds trivially copyable {when, seq, slot} entries, where
+// `seq` is a counter bumped on every Schedule (the FIFO tie-break). Callbacks
+// live in a slab of slots recycled through a free list. A TimerId packs the
+// slot index with the slot's generation, which is bumped whenever the slot is
+// freed, so Cancel is an O(1) generation check: an id whose event already ran
+// (its slot freed, maybe reused) no longer matches. A cancelled callback stays
+// in its slot until its heap entry is popped, and is destroyed then.
 #ifndef MOPEYE_SIM_EVENT_LOOP_H_
 #define MOPEYE_SIM_EVENT_LOOP_H_
 
 #include <cstdint>
 #include <functional>
 #include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "util/time.h"
@@ -19,6 +27,7 @@ namespace mopsim {
 using moputil::SimDuration;
 using moputil::SimTime;
 
+// (generation << 32) | slot. Generations start at 1, so no id is ever 0.
 using TimerId = uint64_t;
 constexpr TimerId kInvalidTimer = 0;
 
@@ -37,7 +46,8 @@ class EventLoop {
   // Runs `fn` after all already-scheduled events at the current instant.
   TimerId Post(std::function<void()> fn) { return Schedule(0, std::move(fn)); }
 
-  // Cancels a pending event. Returns false if it already ran or is unknown.
+  // Cancels a pending event. Returns false if it already ran, was already
+  // cancelled, or is unknown.
   bool Cancel(TimerId id);
 
   // Runs until the queue drains or Stop() is called. Returns events executed.
@@ -49,33 +59,39 @@ class EventLoop {
   size_t RunFor(SimDuration d) { return RunUntil(now_ + d); }
   void Stop() { stopped_ = true; }
 
-  size_t pending_events() const { return pending_.size(); }
+  // Events scheduled and neither run nor cancelled.
+  size_t pending_events() const { return pending_; }
 
  private:
-  struct Event {
+  struct Entry {
     SimTime when;
-    TimerId id;
-    std::function<void()> fn;
+    uint64_t seq;
+    uint32_t slot;
   };
   struct Later {
-    bool operator()(const Event& a, const Event& b) const {
+    bool operator()(const Entry& a, const Entry& b) const {
       if (a.when != b.when) {
         return a.when > b.when;
       }
-      return a.id > b.id;  // FIFO among equal timestamps
+      return a.seq > b.seq;  // FIFO among equal timestamps
     }
+  };
+  struct Slot {
+    std::function<void()> fn;
+    uint32_t generation = 1;
+    bool armed = false;  // scheduled and not cancelled
   };
 
   // Pops and runs one event; false if none eligible (w.r.t. limit).
   bool RunOne(SimTime limit);
 
   SimTime now_ = 0;
-  TimerId next_id_ = 1;
+  uint64_t next_seq_ = 0;
   bool stopped_ = false;
-  std::priority_queue<Event, std::vector<Event>, Later> heap_;
-  // Ids scheduled but not yet run; an id absent from here but present in the
-  // heap was cancelled and is skipped on pop.
-  std::unordered_set<TimerId> pending_;
+  size_t pending_ = 0;
+  std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
+  std::vector<Slot> slots_;
+  std::vector<uint32_t> free_slots_;
 };
 
 }  // namespace mopsim

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <vector>
+
 #include "net/capture.h"
 #include "net/conn_table.h"
 #include "net/dns_server.h"
@@ -10,6 +14,7 @@
 #include "net/socket.h"
 #include "netpkt/dns.h"
 #include "sim/event_loop.h"
+#include "util/rng.h"
 
 namespace {
 
@@ -187,6 +192,110 @@ TEST(SocketChannel, CloseDoesNotOvertakeQueuedUplinkData) {
   f.loop.Run();
   EXPECT_EQ(bytes, 100000u);
   EXPECT_EQ(bytes_at_half_close, 100000u);
+}
+
+// Connects to a SizeEncodedBehavior server, asks for `response` bytes and
+// runs until all of them sit unread in the channel's receive buffer.
+std::shared_ptr<mopnet::SocketChannel> ConnectAndBuffer(NetFixture& f, const IpAddr& ip,
+                                                        size_t response) {
+  f.farm.AddTcpServer({ip, 80}, [] { return std::make_unique<mopnet::SizeEncodedBehavior>(); });
+  auto ch = mopnet::SocketChannel::Create(&f.ctx);
+  ch->Connect({ip, 80}, [&ch = *ch, response](moputil::Status st) {
+    ASSERT_TRUE(st.ok());
+    ch.Write(mopnet::EncodeSizedRequest(response));
+  });
+  f.loop.Run();
+  return ch;
+}
+
+TEST(SocketChannel, SendBytesDeliversOffsetPattern) {
+  NetFixture f;
+  constexpr size_t kResponse = 3 * 1460 + 77;
+  auto ch = ConnectAndBuffer(f, IpAddr(93, 0, 0, 11), kResponse);
+  ASSERT_EQ(ch->available(), kResponse);
+  std::vector<uint8_t> got(kResponse + 1);
+  ASSERT_EQ(ch->Read(got), kResponse);
+  for (size_t i = 0; i < kResponse; ++i) {
+    ASSERT_EQ(got[i], static_cast<uint8_t>(i & 0xff)) << "stream offset " << i;
+  }
+}
+
+class ReadAcrossPieces : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(ReadAcrossPieces, ReadsPatternAndTracksAvailable) {
+  NetFixture f;
+  constexpr size_t kResponse = 100000;  // 69 MSS pieces, the last one short
+  auto ch = ConnectAndBuffer(f, IpAddr(93, 0, 0, 12), kResponse);
+  ASSERT_EQ(ch->available(), kResponse);
+  std::vector<uint8_t> buf(GetParam());
+  size_t offset = 0;
+  while (offset < kResponse) {
+    size_t n = ch->Read(buf);
+    ASSERT_EQ(n, std::min(buf.size(), kResponse - offset));
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(buf[i], static_cast<uint8_t>((offset + i) & 0xff)) << "stream offset " << offset + i;
+    }
+    offset += n;
+    ASSERT_EQ(ch->available(), kResponse - offset);
+  }
+  EXPECT_EQ(ch->Read(buf), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(BufferSizes, ReadAcrossPieces,
+                         ::testing::Values(size_t{1}, size_t{1000}, size_t{64 * 1024}));
+
+// Records every uplink byte and echoes it back.
+class RecordingEcho : public mopnet::ServerBehavior {
+ public:
+  explicit RecordingEcho(std::vector<uint8_t>* seen) : seen_(seen) {}
+  void OnData(mopnet::ServerConn& conn, std::span<const uint8_t> data) override {
+    seen_->insert(seen_->end(), data.begin(), data.end());
+    conn.Send(std::vector<uint8_t>(data.begin(), data.end()));
+  }
+
+ private:
+  std::vector<uint8_t>* seen_;
+};
+
+TEST(SocketChannel, MultiMssWriteArrivesByteExact) {
+  NetFixture f;
+  IpAddr ip(93, 0, 0, 13);
+  std::vector<uint8_t> seen;
+  f.farm.AddTcpServer({ip, 7}, [&] { return std::make_unique<RecordingEcho>(&seen); });
+  std::vector<uint8_t> sent(5 * 1460 + 311);
+  moputil::Rng rng(11);
+  for (auto& b : sent) {
+    b = static_cast<uint8_t>(rng.NextU32());
+  }
+  auto ch = mopnet::SocketChannel::Create(&f.ctx);
+  ch->Connect({ip, 7}, [&](moputil::Status st) {
+    ASSERT_TRUE(st.ok());
+    ch->Write(sent);
+  });
+  f.loop.Run();
+  EXPECT_EQ(seen, sent);
+  std::vector<uint8_t> echoed(sent.size() + 1);
+  echoed.resize(ch->Read(echoed));
+  EXPECT_EQ(echoed, sent);
+}
+
+TEST(SocketChannel, RegisterAfterDataArrivedEmitsReadable) {
+  NetFixture f;
+  mopnet::Selector selector(&f.loop);
+  auto ch = ConnectAndBuffer(f, IpAddr(93, 0, 0, 14), 2000);
+  ASSERT_EQ(ch->available(), 2000u);
+  int readable_events = 0;
+  selector.on_wakeup = [&] {
+    for (auto& ev : selector.TakeReady()) {
+      if (ev.channel == ch && ev.type == mopnet::SocketEventType::kReadable) {
+        ++readable_events;
+      }
+    }
+  };
+  ch->RegisterWith(&selector, mopnet::kOpRead);
+  f.loop.Run();
+  EXPECT_EQ(readable_events, 1);
+  EXPECT_EQ(ch->available(), 2000u);
 }
 
 TEST(SocketChannel, ResetBehaviorDeliversReset) {

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <vector>
 
 #include "sim/actor.h"
 #include "sim/event_loop.h"
+#include "util/rng.h"
 #include "util/time.h"
 
 namespace {
@@ -50,6 +53,111 @@ TEST(EventLoop, CancelAfterRunReturnsFalse) {
   auto id = loop.Schedule(0, [] {});
   loop.Run();
   EXPECT_FALSE(loop.Cancel(id));
+}
+
+TEST(EventLoop, StaleIdDoesNotCancelReusedSlot) {
+  EventLoop loop;
+  auto stale = loop.Schedule(Millis(1), [] {});
+  loop.Run();
+  bool ran = false;
+  auto fresh = loop.Schedule(Millis(1), [&] { ran = true; });
+  EXPECT_NE(fresh, stale);
+  EXPECT_FALSE(loop.Cancel(stale));
+  EXPECT_EQ(loop.pending_events(), 1u);
+  loop.Run();
+  EXPECT_TRUE(ran);
+}
+
+TEST(EventLoop, InvalidTimerIsNeverIssuedNorCancellable) {
+  EventLoop loop;
+  EXPECT_FALSE(loop.Cancel(mopsim::kInvalidTimer));
+  for (int round = 0; round < 100; ++round) {
+    for (int i = 0; i < 10; ++i) {
+      EXPECT_NE(loop.Schedule(Millis(i), [] {}), mopsim::kInvalidTimer);
+    }
+    loop.Run();
+  }
+}
+
+TEST(EventLoop, PendingEventsExcludeCancelled) {
+  EventLoop loop;
+  loop.Schedule(Millis(1), [] {});
+  auto b = loop.Schedule(Millis(2), [] {});
+  loop.Schedule(Millis(3), [] {});
+  EXPECT_EQ(loop.pending_events(), 3u);
+  EXPECT_TRUE(loop.Cancel(b));
+  EXPECT_EQ(loop.pending_events(), 2u);
+  loop.RunUntil(Millis(1));
+  EXPECT_EQ(loop.pending_events(), 1u);
+  loop.Run();
+  EXPECT_EQ(loop.pending_events(), 0u);
+}
+
+// Random times, random cancels, and callbacks that schedule and cancel other
+// events: the run order must be the surviving events sorted by
+// (time, schedule order), and Cancel must report exactly what was pending.
+TEST(EventLoop, RandomScheduleAndCancelKeepsTimeThenFifoOrder) {
+  EventLoop loop;
+  moputil::Rng rng(2024);
+  struct Scheduled {
+    moputil::SimTime when;
+    mopsim::TimerId id;
+    bool pending;
+    bool cancelled;
+  };
+  std::vector<Scheduled> events;
+  std::vector<size_t> run_order;
+  std::function<void(size_t)> fire;
+  auto schedule = [&](moputil::SimDuration delay) {
+    size_t index = events.size();
+    auto id = loop.Schedule(delay, [&fire, index] { fire(index); });
+    events.push_back({loop.Now() + delay, id, true, false});
+  };
+  auto cancel_random = [&] {
+    Scheduled& victim = events[static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(events.size()) - 1))];
+    EXPECT_EQ(loop.Cancel(victim.id), victim.pending);
+    if (victim.pending) {
+      victim.pending = false;
+      victim.cancelled = true;
+    }
+  };
+  fire = [&](size_t index) {
+    ASSERT_TRUE(events[index].pending) << "event " << index;
+    events[index].pending = false;
+    EXPECT_EQ(loop.Now(), events[index].when);
+    run_order.push_back(index);
+    if (events.size() < 10000 && rng.Bernoulli(0.6)) {
+      schedule(Millis(rng.UniformInt(0, 20)));
+    }
+    if (rng.Bernoulli(0.2)) {
+      cancel_random();
+    }
+  };
+  for (int i = 0; i < 5000; ++i) {
+    schedule(Millis(rng.UniformInt(0, 50)));
+    if (rng.Bernoulli(0.1)) {
+      cancel_random();
+    }
+  }
+  size_t live = 0;
+  for (const auto& e : events) {
+    live += e.pending ? 1 : 0;
+  }
+  EXPECT_EQ(loop.pending_events(), live);
+  loop.Run();
+  EXPECT_EQ(loop.pending_events(), 0u);
+
+  std::vector<size_t> expected;
+  for (size_t i = 0; i < events.size(); ++i) {
+    if (!events[i].cancelled) {
+      expected.push_back(i);
+    }
+  }
+  std::stable_sort(expected.begin(), expected.end(),
+                   [&](size_t a, size_t b) { return events[a].when < events[b].when; });
+  EXPECT_GT(events.size(), 9000u);
+  EXPECT_EQ(run_order, expected);
 }
 
 TEST(EventLoop, RunUntilAdvancesClockToDeadline) {
