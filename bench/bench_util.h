@@ -6,7 +6,7 @@
 //                 dataset; smaller for quick runs)
 //   --seed=<n>    RNG seed
 //   --lanes=<n>   engine worker-lane sweep (table3/table4 only): run the
-//                 relay-scaling section with Config::worker_lanes = n.
+//                 relay-scaling section on mopbase::ScaledConfig(n).
 //                 Unset (0) keeps the default paper-model output unchanged,
 //                 so the checked-in baselines never see this section.
 #ifndef MOPEYE_BENCH_BENCH_UTIL_H_

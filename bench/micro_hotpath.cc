@@ -366,8 +366,7 @@ void BM_EngineRelay(benchmark::State& state) {
     opts.uplink_bps = 10e9;
     opts.downlink_bps = 10e9;
     moptest::TestWorld w(opts);
-    mopeye::Config cfg = mopbase::MopEyeConfig();
-    cfg.worker_lanes = 4;
+    mopeye::Config cfg = mopbase::ScaledConfig(4);
     cfg.telemetry = telemetry;
     if (!w.StartEngine(cfg).ok()) {
       state.SkipWithError("engine start failed");
@@ -518,28 +517,6 @@ void BM_QueuePut(benchmark::State& state) {
   consumer.join();
 }
 BENCHMARK(BM_QueuePut)->Arg(0)->Arg(1)->ArgNames({"newput"});
-
-// Burst drain cost: popping a 64-packet burst one Take at a time (64 lock
-// round-trips) vs one TakeAll swap (a single round-trip) — the writev-style
-// drain the TunWriter uses.
-void BM_QueueDrainBurst(benchmark::State& state) {
-  constexpr int kBurst = 64;
-  bool batched = state.range(0) != 0;
-  mopcc::PacketQueue<int> q(mopcc::PutMode::kNewPut);
-  for (auto _ : state) {
-    for (int i = 0; i < kBurst; ++i) {
-      q.Put(i);
-    }
-    if (batched) {
-      benchmark::DoNotOptimize(q.TryTakeAll());
-    } else {
-      while (q.TryTake().has_value()) {
-      }
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * kBurst);
-}
-BENCHMARK(BM_QueueDrainBurst)->Arg(0)->Arg(1)->ArgNames({"takeall"});
 
 }  // namespace
 

@@ -86,15 +86,9 @@ LaneSweepResult RunRelayScale(uint64_t seed, int lanes, int clients,
   opts.uplink_bps = 10e9;
   opts.downlink_bps = 10e9;
   moptest::TestWorld w(opts);
-  mopeye::Config cfg = mopbase::MopEyeConfig();
-  cfg.worker_lanes = lanes;
-  // Thread model v3: the sweep runs the saturated-ingress configuration —
-  // gathered tun reads plus (multi-lane) elephant-flow stealing. The default
-  // paper-model output (no --lanes) never sets these, so the checked-in
-  // baselines are untouched.
-  cfg.tun_read_batch = 32;
-  cfg.steal_enabled = lanes > 1;
-  cfg.lane_tun_write = true;
+  // The sweep runs the `scaled` preset; the default paper-preset output (no
+  // --lanes) never uses it, so the checked-in baselines are untouched.
+  mopeye::Config cfg = mopbase::ScaledConfig(lanes);
   // The sweep doubles as the stage-timing showcase: telemetry's per-lane
   // histograms cost one branch per hook and do not perturb the simulation
   // (verified byte-identical against all checked-in baselines).
@@ -151,8 +145,7 @@ int RunLaneSweep(const mopbench::Flags& flags) {
   int lanes = flags.lanes;
   mopbench::PrintHeader("Table 3 (lanes sweep)",
                         "relay scaling across MainWorker lanes, 10 Gbps link");
-  std::printf("worker_lanes=%d (write batching %s in this configuration)\n\n", lanes,
-              lanes > 1 ? "on" : "off");
+  std::printf("preset=scaled worker_lanes=%d\n\n", lanes);
   const int kClientCounts[] = {8, 24, 48};
   const size_t kBytesPerClient = static_cast<size_t>(1.5 * 1024 * 1024);
   moputil::Table t({"clients", "relayed", "window", "throughput", "complete"});

@@ -97,10 +97,10 @@ int main(int argc, char** argv) {
     // CPU is summed across lanes, so more lanes must not hide busy time.
     mopbench::PrintHeader("Table 4 (lanes sweep)",
                           "resource overhead of the sharded relay (HD video)");
-    std::printf("simulating %.0f minutes of 1080p streaming, worker_lanes=%d...\n\n",
+    std::printf("simulating %.0f minutes of 1080p streaming, preset=scaled "
+                "worker_lanes=%d...\n\n",
                 minutes, flags.lanes);
-    mopeye::Config cfg = mopbase::MopEyeConfig();
-    cfg.worker_lanes = flags.lanes;
+    mopeye::Config cfg = mopbase::ScaledConfig(flags.lanes);
     cfg.telemetry = true;  // per-lane stage timing rides along, cost ≈ noise
     std::string lane_table;
     Resources lanes_r = RunVideo(flags.seed, cfg, minutes, &lane_table);

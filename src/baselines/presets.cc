@@ -4,6 +4,15 @@ namespace mopbase {
 
 mopeye::Config MopEyeConfig() { return mopeye::Config(); }
 
+mopeye::Config ScaledConfig(int lanes) {
+  mopeye::Config cfg;
+  cfg.worker_lanes = lanes;
+  cfg.tun_read_batch = 32;
+  cfg.steal_enabled = lanes > 1;
+  cfg.lane_tun_write = true;
+  return cfg;
+}
+
 mopeye::Config HaystackConfig() {
   mopeye::Config cfg;
   cfg.read_mode = mopeye::Config::TunReadMode::kSleepAdaptive;

@@ -11,8 +11,15 @@
 
 namespace mopbase {
 
-// MopEye as shipped: every §3 optimization on.
+// The `paper` preset — MopEye as shipped: every §3 optimization on, one
+// MainWorker, per-packet tun reads, and every packet toward the apps through
+// the single TunWriter. All checked-in bench baselines run this.
 mopeye::Config MopEyeConfig();
+
+// The `scaled` preset — the multi-lane relay the table3/table4 lane sweeps
+// run: `lanes` MainWorker lanes, 32-packet burst tun reads, gathered lane
+// egress, and elephant-flow stealing when there is more than one lane.
+mopeye::Config ScaledConfig(int lanes);
 
 // Haystack v1.0.0.8-like relay (TLS analysis off, as in the paper's runs):
 //  * adaptive-sleep tun reads (its "intelligent sleeping", §3.1)

@@ -93,44 +93,6 @@ class PacketQueue {
     return item;
   }
 
-  // Consumer side, batched: blocks until at least one item is available (or
-  // Stop()), then drains the entire queue in one lock round-trip — a burst
-  // of N packets costs one swap instead of N Take() cycles, the writev-style
-  // drain the TunWriter thread uses. Returns an empty deque only after
-  // Stop() with nothing queued. Spin semantics mirror Take(): in kNewPut
-  // mode the consumer re-checks for spin_rounds_ before parking.
-  std::deque<T> TakeAll() MOP_EXCLUDES(mu_) {
-    int counter = 0;
-    while (true) {
-      {
-        moputil::MutexLock lock(mu_);
-        if (!queue_.empty()) {
-          std::deque<T> batch;
-          batch.swap(queue_);
-          return batch;
-        }
-        if (stopped_) {
-          return {};
-        }
-      }
-      if (mode_ == PutMode::kNewPut && counter < spin_rounds_) {
-        ++counter;
-        std::this_thread::yield();
-        continue;
-      }
-      Park(&counter);
-    }
-  }
-
-  // Non-blocking batched drain: everything queued right now, in one lock
-  // round-trip.
-  std::deque<T> TryTakeAll() MOP_EXCLUDES(mu_) {
-    moputil::MutexLock lock(mu_);
-    std::deque<T> batch;
-    batch.swap(queue_);
-    return batch;
-  }
-
   void Stop() MOP_EXCLUDES(mu_) {
     {
       moputil::MutexLock lock(mu_);

@@ -54,8 +54,8 @@ struct CostModels {
   std::shared_ptr<moputil::DelayModel> selector_register;
   // DNS message parse + UDP socket setup in the DNS thread.
   std::shared_ptr<moputil::DelayModel> dns_process;
-  // Marginal cost of each additional packet in a batched (writev-style)
-  // tunnel write burst; only sampled when Config::write_batching is on.
+  // Marginal cost of each additional packet in a gathered (writev-style)
+  // lane tunnel write; only sampled when Config::lane_tun_write is on.
   std::shared_ptr<moputil::DelayModel> tun_write_batch_extra;
   // Marginal cost of each additional packet in a batched (readv/recvmmsg
   // style) tunnel read burst; only sampled when Config::tun_read_batch > 1.
@@ -80,12 +80,6 @@ struct Config {
 
   enum class PutScheme { kOldPut, kNewPut };
   PutScheme put_scheme = PutScheme::kNewPut;
-  // Batched tunnel writes: the TunWriter drains its whole queue in one
-  // writev-style submission (one syscall-class cost plus a small marginal
-  // cost per extra packet) instead of one write() per packet. Off by
-  // default: the paper's tables model per-packet write(), and the checked-in
-  // experiment baselines depend on that cost stream.
-  bool write_batching = false;
   // Spin rounds before the writer gives up and wait()s (§3.5.1's counter
   // threshold). The window must outlast typical intra-burst packet gaps so
   // producers almost never find the writer parked.
@@ -110,18 +104,19 @@ struct Config {
   };
   ProtectMode protect_mode = ProtectMode::kAuto;
 
-  // ---- Worker-lane sharding (thread model v2) ----
+  // ---- Relay scaling (the `scaled` preset, mopbase::ScaledConfig) ----
+  // The defaults below are the `paper` preset; ScaledConfig(lanes) is the
+  // one other combination the benches run. Tests flip single axes on top of
+  // a preset.
+  //
   // Number of MainWorker lanes the relay engine runs. 1 (the default) is the
   // paper's single-MainWorker model and keeps every checked-in bench baseline
   // byte-identical. With N > 1 the TunReader classifies each packet by
   // FlowKeyHash % N and enqueues it on the owning lane; each lane owns its
   // own selector, TCP-client table, DNS relay state, buffer pool, and
-  // measurement shard, so no flow state is ever shared across lanes. The
-  // scaled configuration also turns write_batching on (all lanes feed the
-  // single TunWriter, and per-packet write() would re-serialize them there).
+  // measurement shard, so no flow state is ever shared across lanes.
   int worker_lanes = 1;
 
-  // ---- Burst ingress + work stealing (thread model v3) ----
   // Max packets the TunReader pulls off the tun fd per syscall-class burst
   // (readv/recvmmsg model): one tun_read_syscall plus tun_read_batch_extra
   // per additional packet, then ONE queue push-batch and ONE selector wakeup
@@ -132,20 +127,18 @@ struct Config {
   // TCP flow; the TunReader re-homes that whole flow to the idlest lane via
   // handoff tokens through the read queue, so per-flow FIFO order and the
   // single-lane-per-flow affinity invariant survive — a steal re-homes a
-  // flow, it never interleaves one. Off by default (paper model).
+  // flow, it never interleaves one. A lane whose read queue reaches 24
+  // packets publishes its hottest flow. Off by default (paper model).
   bool steal_enabled = false;
-  // Queue depth at which a lane declares itself overloaded and publishes its
-  // hottest flow as stealable.
-  int steal_queue_threshold = 24;
-  // Thread model v3 egress: each MainWorker lane gathers the packets it
+  // Gathered lane egress: each MainWorker lane gathers the packets it
   // produced and flushes them with one writev-style gathered write to the
   // tun fd from its own thread (one tun_write_syscall plus
   // tun_write_batch_extra per additional packet, plus a shared-fd
   // tun_write_contention sample per flush), instead of funneling every
-  // packet through the single TunWriter actor — whose per-packet marginal
-  // drain cost is a global serializer no lane count can beat. Off by
-  // default: the paper model routes all writes through §3.5.1's schemes and
-  // the checked-in baselines depend on that cost stream.
+  // packet through the single TunWriter actor, whose per-packet write() is a
+  // global serializer no lane count can beat. Off by default: the paper
+  // model routes all writes through §3.5.1's schemes and the checked-in
+  // baselines depend on that cost stream.
   bool lane_tun_write = false;
 
   // Self-measurement plane (moptel): lane-sharded metrics registry, stage

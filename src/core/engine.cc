@@ -13,6 +13,9 @@ namespace mopeye {
 
 namespace {
 constexpr moputil::SimDuration kUdpIdleTimeout = moputil::Seconds(60);
+// Read-queue depth at which a lane declares itself overloaded and publishes
+// its hottest flow as stealable (Config::steal_enabled).
+constexpr size_t kStealQueueThreshold = 24;
 
 // Per-lane emission pools. Static duration like BufPool::Default(): packets
 // emitted by a lane can still sit in the TunWriter queue, pending event-loop
@@ -44,7 +47,7 @@ struct MopEyeEngine::Telemetry {
   moptel::Histogram* stage_socket_read = nullptr;   // server->app read cost
   moptel::Histogram* stage_dns = nullptr;           // DNS temp-thread setup
   moptel::Histogram* stage_tun_read = nullptr;      // TunReader per-read cost
-  moptel::Histogram* stage_tun_write = nullptr;     // TunWriter drain bursts
+  moptel::Histogram* stage_tun_write = nullptr;     // TunWriter writes, lane flushes
   moptel::Gauge* lane_clients_high_water = nullptr;
   // Read-queue high water last traced per lane (flight-recorder dedup).
   std::vector<size_t> read_queue_hw_seen;
@@ -60,11 +63,6 @@ MopEyeEngine::MopEyeEngine(mopdroid::AndroidDevice* device, Config config)
       rng_(device->rng().Fork()) {
   MOP_CHECK(device != nullptr);
   MOP_CHECK(config_.worker_lanes >= 1) << "worker_lanes must be >= 1";
-  if (config_.worker_lanes > 1) {
-    // The scaled configuration: all lanes feed the single TunWriter, so
-    // batched drains are what keeps the shared fd from re-serializing them.
-    config_.write_batching = true;
-  }
   for (int i = 0; i < config_.worker_lanes; ++i) {
     // Lane 0 of a single-lane engine keeps the historical thread name.
     std::string name = config_.worker_lanes == 1 ? "MainWorker"
@@ -184,11 +182,6 @@ void MopEyeEngine::BuildTelemetry() {
                          "Packets the TunWriter wrote to the tun fd",
                          [this] {
                            return writer_ ? static_cast<uint64_t>(writer_->packets_written()) : 0;
-                         });
-  reg.AddExternalCounter("mopeye_tun_writer_bursts_total",
-                         "Batched TunWriter drain bursts",
-                         [this] {
-                           return writer_ ? static_cast<uint64_t>(writer_->write_bursts()) : 0;
                          });
   reg.AddExternalCounter("mopeye_tun_writer_waits_total",
                          "Times the queueWrite consumer parked in wait()",
@@ -1186,7 +1179,7 @@ void MopEyeEngine::RemoveClient(const std::shared_ptr<TcpClient>& client) {
 
 void MopEyeEngine::MaybePublishSteal(WorkerLane& lane) {
   const auto& items = lane.read_queue.items;
-  if (items.size() < static_cast<size_t>(config_.steal_queue_threshold)) {
+  if (items.size() < kStealQueueThreshold) {
     return;
   }
   if (steal_board_->pending(lane.index)) {

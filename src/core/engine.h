@@ -19,18 +19,19 @@
 //     timestamp -> lazy mapping -> register with the owning lane's selector
 //     -> SYN/ACK to app
 //
-//   TunWriter  <- write queue (newPut/oldPut) <- every packet toward the app
-//     (the scaled configuration batches drains so the shared fd does not
-//     re-serialize the lanes). With Config::lane_tun_write on, worker lanes
+//   TunWriter  <- write queue (newPut/oldPut) <- every packet toward the app,
+//     one write() per packet. With Config::lane_tun_write on, worker lanes
 //     bypass it and flush their own gathered bursts to the same tun fd; only
 //     connect threads and DNS temp threads still come through here.
 //
 // Every flushed socket write is answered with exactly one cumulative ACK
 // toward the app (§2.3 "Socket Write"), whichever egress path carries it.
 //
-// Config::worker_lanes = 1 (default) is the paper's single-MainWorker model
+// Two presets (src/baselines/presets.h) pick the thread model: `paper`
+// (mopbase::MopEyeConfig, one lane) is the paper's single-MainWorker model
 // and is behaviorally identical to it — same RNG stream, same costs, same
-// event order — which the checked-in bench baselines depend on.
+// event order — which the checked-in bench baselines depend on. `scaled`
+// (mopbase::ScaledConfig) adds lanes, burst reads, lane egress and stealing.
 #ifndef MOPEYE_CORE_ENGINE_H_
 #define MOPEYE_CORE_ENGINE_H_
 

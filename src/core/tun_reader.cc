@@ -17,11 +17,12 @@ TunReader::TunReader(mopsim::EventLoop* loop, mopdroid::TunDevice* tun, const Co
       adaptive_sleep_(config->adaptive_min_sleep) {
   MOP_CHECK(tun != nullptr);
   MOP_CHECK(!sinks_.empty());
+  MOP_CHECK(config_->tun_read_batch >= 1) << "tun_read_batch must be >= 1";
   for (const LaneSink& sink : sinks_) {
     MOP_CHECK(sink.queue != nullptr);
     MOP_CHECK(sink.selector != nullptr);
   }
-  burst_.reserve(static_cast<size_t>(std::max(1, config_->tun_read_batch)));
+  burst_.reserve(static_cast<size_t>(config_->tun_read_batch));
   dirty_lanes_.reserve(sinks_.size());
   lane_dirty_.assign(sinks_.size(), 0);
 }
@@ -81,7 +82,7 @@ void TunReader::DispatchBurst(std::vector<mopdroid::TunDevice::OutPacket> burst)
     sinks_[lane].selector->Wakeup();
   }
   dirty_lanes_.clear();
-  if (steal_board_ != nullptr && sinks_.size() > 1) {
+  if (steal_board_ != nullptr) {
     ProcessStealRequests();
   }
 }
@@ -171,6 +172,20 @@ void TunReader::InitiateSteal(const moppkt::FlowKey& flow, size_t victim, size_t
   sinks_[victim].selector->Wakeup();
 }
 
+moputil::SimDuration TunReader::BurstReadCost(size_t n) {
+  // One syscall-class cost for the burst plus the marginal per-mmsghdr cost
+  // for each extra packet. At tun_read_batch == 1 this is draw-for-draw the
+  // paper's per-packet read() — the baselines depend on that.
+  moputil::SimDuration cost = config_->costs.tun_read_syscall->Sample(rng_);
+  for (size_t i = 1; i < n; ++i) {
+    cost += config_->costs.tun_read_batch_extra->Sample(rng_);
+  }
+  if (stage_hist_ != nullptr) {
+    stage_hist_->Observe(0, moputil::ToMillis(cost));
+  }
+  return cost;
+}
+
 // ---- Blocking mode ----
 
 void TunReader::OnTunReadable() {
@@ -188,25 +203,14 @@ void TunReader::DrainLoop() {
     return;  // the dummy packet (if any) released us; exit the thread
   }
   burst_.clear();
-  size_t n = tun_->ReadOutgoingBurst(static_cast<size_t>(std::max(1, config_->tun_read_batch)),
-                                     &burst_);
+  size_t n = tun_->ReadOutgoingBurst(static_cast<size_t>(config_->tun_read_batch), &burst_);
   if (n == 0) {
     // Queue drained: back into the blocking read().
     draining_ = false;
     blocked_ = true;
     return;
   }
-  // One syscall-class cost for the burst plus the marginal per-mmsghdr cost
-  // for each extra packet. At tun_read_batch == 1 this is draw-for-draw the
-  // paper's per-packet read() — the baselines depend on that.
-  moputil::SimDuration read_cost = config_->costs.tun_read_syscall->Sample(rng_);
-  for (size_t i = 1; i < n; ++i) {
-    read_cost += config_->costs.tun_read_batch_extra->Sample(rng_);
-  }
-  if (stage_hist_ != nullptr) {
-    stage_hist_->Observe(0, moputil::ToMillis(read_cost));
-  }
-  lane_.Submit(0, read_cost, [this, burst = std::move(burst_)]() mutable {
+  lane_.Submit(0, BurstReadCost(n), [this, burst = std::move(burst_)]() mutable {
     DispatchBurst(std::move(burst));
     DrainLoop();
   });
@@ -226,22 +230,14 @@ void TunReader::Poll() {
     return;
   }
   size_t drained = 0;
-  size_t batch = static_cast<size_t>(std::max(1, config_->tun_read_batch));
   while (true) {
     burst_.clear();
-    size_t n = tun_->ReadOutgoingBurst(batch, &burst_);
+    size_t n = tun_->ReadOutgoingBurst(static_cast<size_t>(config_->tun_read_batch), &burst_);
     if (n == 0) {
       break;
     }
     drained += n;
-    moputil::SimDuration read_cost = config_->costs.tun_read_syscall->Sample(rng_);
-    for (size_t i = 1; i < n; ++i) {
-      read_cost += config_->costs.tun_read_batch_extra->Sample(rng_);
-    }
-    if (stage_hist_ != nullptr) {
-      stage_hist_->Observe(0, moputil::ToMillis(read_cost));
-    }
-    lane_.Submit(0, read_cost,
+    lane_.Submit(0, BurstReadCost(n),
                  [this, burst = std::move(burst_)]() mutable { DispatchBurst(std::move(burst)); });
   }
   if (drained == 0) {

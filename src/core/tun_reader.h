@@ -155,6 +155,9 @@ class TunReader {
   void DrainLoop();       // blocking mode read chain
   void SchedulePoll(moputil::SimDuration sleep);  // polling modes
   void Poll();
+  // Modeled cost of one burst read() of `n` packets; observes the stage
+  // histogram. Shared by both read modes so their draw order is one.
+  moputil::SimDuration BurstReadCost(size_t n);
   // Classifies a whole burst onto the owning lanes' queues, then commits and
   // wakes each touched lane once.
   void DispatchBurst(std::vector<mopdroid::TunDevice::OutPacket> burst);

@@ -29,7 +29,6 @@ moputil::SimDuration TunWriter::SubmitPacket(moppkt::PacketBuf packet) {
     moputil::SimTime delivery = std::max(now + cost, fd_busy_until_ + 1);
     fd_busy_until_ = delivery;
     ++packets_written_;
-    ++write_bursts_;
     mopdroid::TunDevice* tun = tun_;
     loop_->ScheduleAt(delivery, [tun, packet = std::move(packet)]() mutable {
       tun->WriteIncoming(std::move(packet));
@@ -114,31 +113,6 @@ void TunWriter::Pump() {
     return;
   }
   state_ = WriterState::kProcessing;
-  if (config_->write_batching) {
-    // Writev-style burst: everything queued right now leaves in one
-    // submission — one syscall-class cost for the first packet plus a small
-    // marginal cost per extra iovec, and a single lane round-trip instead of
-    // one per packet.
-    std::deque<moppkt::PacketBuf> burst;
-    burst.swap(queue_);
-    moputil::SimDuration cost = costs.tun_write_syscall->Sample(rng_);
-    for (size_t i = 1; i < burst.size(); ++i) {
-      cost += costs.tun_write_batch_extra->Sample(rng_);
-    }
-    tunnel_write_ms_.Add(moputil::ToMillis(cost));
-    if (stage_hist_ != nullptr) {
-      stage_hist_->Observe(0, moputil::ToMillis(cost));
-    }
-    packets_written_ += burst.size();
-    ++write_bursts_;
-    lane_.Submit(0, cost, [this, burst = std::move(burst)]() mutable {
-      for (auto& packet : burst) {
-        tun_->WriteIncoming(std::move(packet));
-      }
-      Pump();
-    });
-    return;
-  }
   moppkt::PacketBuf packet = std::move(queue_.front());
   queue_.pop_front();
   moputil::SimDuration cost = costs.tun_write_syscall->Sample(rng_);
@@ -147,7 +121,6 @@ void TunWriter::Pump() {
     stage_hist_->Observe(0, moputil::ToMillis(cost));
   }
   ++packets_written_;
-  ++write_bursts_;
   lane_.Submit(0, cost, [this, packet = std::move(packet)]() mutable {
     tun_->WriteIncoming(std::move(packet));
     Pump();

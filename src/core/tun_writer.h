@@ -52,12 +52,8 @@ class TunWriter {
   const moputil::Samples& producer_overhead_ms() const { return producer_overhead_ms_; }
   // Delay of each actual write() to the tunnel (the TunWriter thread's cost
   // under queueWrite; equal to the producer overhead under directWrite).
-  // With write_batching on, one sample covers a whole drained burst.
   const moputil::Samples& tunnel_write_ms() const { return tunnel_write_ms_; }
   size_t packets_written() const { return packets_written_; }
-  // Write submissions issued (== packets_written unless batching coalesced
-  // bursts into single writev-style drains).
-  size_t write_bursts() const { return write_bursts_; }
   size_t queue_high_water() const { return queue_high_water_; }
   moputil::SimDuration writer_busy_time() const { return writer_busy_total(); }
   // Times the writer actually parked in wait() (newPut should keep this low).
@@ -65,9 +61,8 @@ class TunWriter {
   // Times a producer paid a notify because the writer was parked.
   int notifies() const { return notifies_; }
 
-  // Telemetry: every tunnel write cost (per packet, or per burst with
-  // batching) lands in `h` (lane 0 — the writer is a single actor). Null
-  // (the default) disables observation.
+  // Telemetry: every per-packet tunnel write cost lands in `h` (lane 0 —
+  // the writer is a single actor). Null (the default) disables observation.
   void set_stage_histogram(moptel::Histogram* h) { stage_hist_ = h; }
 
  private:
@@ -97,7 +92,6 @@ class TunWriter {
   moputil::Samples producer_overhead_ms_;
   moputil::Samples tunnel_write_ms_;
   size_t packets_written_ = 0;
-  size_t write_bursts_ = 0;
   // Exported by the engine via AddExternalGauge (the writer predates the
   // registry and its accessor is part of the resources() report contract).
   size_t queue_high_water_ = 0;  // moplint-allow: raw-counter

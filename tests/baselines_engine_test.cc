@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "baselines/mobiperf.h"
 #include "baselines/presets.h"
@@ -62,6 +63,34 @@ TEST(Presets, HaystackUndoesTheOptimizations) {
   auto mop = mopbase::MopEyeConfig();
   EXPECT_EQ(mop.read_mode, mopeye::Config::TunReadMode::kBlocking);
   EXPECT_EQ(mop.content_inspection, nullptr);
+}
+
+TEST(Presets, PaperIsOneLanePerPacketReadsNoStealNoLaneEgress) {
+  auto paper = mopbase::MopEyeConfig();
+  EXPECT_EQ(paper.worker_lanes, 1);
+  EXPECT_EQ(paper.tun_read_batch, 1);
+  EXPECT_FALSE(paper.steal_enabled);
+  EXPECT_FALSE(paper.lane_tun_write);
+}
+
+TEST(Presets, ScaledMatchesTheLaneSweep) {
+  for (int lanes : {1, 8}) {
+    SCOPED_TRACE("lanes=" + std::to_string(lanes));
+    auto scaled = mopbase::ScaledConfig(lanes);
+    EXPECT_EQ(scaled.worker_lanes, lanes);
+    EXPECT_EQ(scaled.tun_read_batch, 32);
+    EXPECT_EQ(scaled.steal_enabled, lanes > 1);
+    EXPECT_TRUE(scaled.lane_tun_write);
+    // Everything else is the paper preset's §3 design.
+    auto paper = mopbase::MopEyeConfig();
+    EXPECT_EQ(scaled.read_mode, paper.read_mode);
+    EXPECT_EQ(scaled.write_scheme, paper.write_scheme);
+    EXPECT_EQ(scaled.put_scheme, paper.put_scheme);
+    EXPECT_EQ(scaled.mapping, paper.mapping);
+    EXPECT_EQ(scaled.timestamp_mode, paper.timestamp_mode);
+    EXPECT_EQ(scaled.protect_mode, paper.protect_mode);
+    EXPECT_FALSE(scaled.telemetry);
+  }
 }
 
 TEST(Presets, HaystackRelayStillDeliversCorrectly) {

@@ -39,74 +39,6 @@ TEST(PacketQueue, StopUnblocksConsumer) {
   consumer.join();
 }
 
-TEST(PacketQueue, TakeAllDrainsWholeBurstInOrder) {
-  PacketQueue<int> q(PutMode::kOldPut);
-  for (int i = 0; i < 10; ++i) {
-    q.Put(i);
-  }
-  auto batch = q.TakeAll();
-  ASSERT_EQ(batch.size(), 10u);
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(batch[static_cast<size_t>(i)], i);
-  }
-  EXPECT_EQ(q.size(), 0u);
-  EXPECT_TRUE(q.TryTakeAll().empty());
-}
-
-TEST(PacketQueue, TakeAllBlocksUntilWorkOrStop) {
-  PacketQueue<int> q(PutMode::kOldPut);
-  std::thread consumer([&] {
-    auto first = q.TakeAll();
-    EXPECT_FALSE(first.empty());  // woke for the delayed Put
-    auto after_stop = q.TakeAll();
-    EXPECT_TRUE(after_stop.empty());  // Stop with nothing queued
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  q.Put(42);
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  q.Stop();
-  consumer.join();
-}
-
-TEST(PacketQueue, BatchedConsumerLosesNothingUnderProducers) {
-  // Multi-producer no-loss with the writev-style consumer: every item shows
-  // up exactly once across TakeAll batches, per-producer order preserved.
-  PacketQueue<std::pair<int, int>> q(PutMode::kNewPut, 2000);
-  constexpr int kProducers = 4;
-  constexpr int kPerProducer = 5000;
-  std::vector<int> seen_next(kProducers, 0);
-  std::atomic<int> total{0};
-  std::thread consumer([&] {
-    while (true) {
-      auto batch = q.TakeAll();
-      if (batch.empty()) {
-        return;  // stopped and drained
-      }
-      for (auto& [producer, value] : batch) {
-        EXPECT_EQ(value, seen_next[static_cast<size_t>(producer)]++);
-        total.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-  });
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&q, p] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        q.Put({p, i});
-      }
-    });
-  }
-  for (auto& t : producers) {
-    t.join();
-  }
-  while (q.size() > 0) {
-    std::this_thread::yield();
-  }
-  q.Stop();
-  consumer.join();
-  EXPECT_EQ(total.load(), kProducers * kPerProducer);
-}
-
 class PacketQueueModes : public ::testing::TestWithParam<PutMode> {};
 
 TEST_P(PacketQueueModes, NoLossUnderConcurrentProducers) {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 
+#include "baselines/presets.h"
 #include "netpkt/dns.h"
 #include "netpkt/packet_buf.h"
 #include "telemetry/metrics.h"
@@ -330,9 +331,9 @@ TEST(EngineIntegration, SteadyStateRelayReusesPooledBuffers) {
 
 // ---- Worker-lane sharding (thread model v2) ----
 
-// One deterministic multi-client run against `lanes` worker lanes: 8 raw
-// tunnel connections from two apps to 8 distinct servers (flows spread over
-// the lane hash), each echoing a distinct payload, plus two DNS lookups.
+// One deterministic multi-client run on `cfg`: 8 raw tunnel connections
+// from two apps to 8 distinct servers (flows spread over the lane hash),
+// each echoing a distinct payload, plus two DNS lookups.
 struct LaneRunResult {
   std::vector<std::string> records;              // canonical projection, sorted
   std::vector<double> tcp_rtts_ms;               // sorted
@@ -344,11 +345,9 @@ struct LaneRunResult {
   uint64_t parse_errors = 0;
 };
 
-LaneRunResult RunLaneScenario(int lanes) {
+LaneRunResult RunLaneScenario(const mopeye::Config& cfg) {
   constexpr int kConns = 8;
   TestWorld w;
-  mopeye::Config cfg;
-  cfg.worker_lanes = lanes;
   EXPECT_TRUE(w.StartEngine(cfg).ok());
   w.farm().resolution().Add("lanes.demo.test", moppkt::IpAddr(93, 88, 0, 1));
   w.farm().resolution().Add("shard.demo.test", moppkt::IpAddr(93, 88, 0, 2));
@@ -401,8 +400,8 @@ LaneRunResult RunLaneScenario(int lanes) {
 }
 
 TEST(EngineLanes, FourLanesProduceSameRecordsAndPayloadsAsOne) {
-  LaneRunResult one = RunLaneScenario(1);
-  LaneRunResult four = RunLaneScenario(4);
+  LaneRunResult one = RunLaneScenario(mopbase::MopEyeConfig());
+  LaneRunResult four = RunLaneScenario(mopbase::ScaledConfig(4));
 
   // Byte-identical relayed payloads, connection by connection.
   for (size_t i = 0; i < one.sent.size(); ++i) {
@@ -434,9 +433,7 @@ TEST(EngineLanes, RawStorePointerSeesLaneShardRecords) {
   // must still observe lane records (the store's refill hook), or the whole
   // crowdsourcing upload pipeline would silently see an empty store.
   TestWorld w;
-  mopeye::Config cfg;
-  cfg.worker_lanes = 4;
-  ASSERT_TRUE(w.StartEngine(cfg).ok());
+  ASSERT_TRUE(w.StartEngine(mopbase::ScaledConfig(4)).ok());
   mopeye::MeasurementStore* store = &w.engine().store();  // captured once
   ASSERT_EQ(store->size(), 0u);
 
@@ -461,9 +458,7 @@ TEST(EngineLanes, RawStorePointerSeesLaneShardRecords) {
 TEST(EngineLanes, FlowsAreAffineToTheirHashedLane) {
   constexpr int kConns = 12;
   TestWorld w;
-  mopeye::Config cfg;
-  cfg.worker_lanes = 4;
-  ASSERT_TRUE(w.StartEngine(cfg).ok());
+  ASSERT_TRUE(w.StartEngine(mopbase::ScaledConfig(4)).ok());
   ASSERT_EQ(w.engine().lane_count(), 4u);
   auto* app = w.MakeApp(10172, "com.example.affine", "Affine");
   (void)app;
@@ -518,8 +513,7 @@ TEST(EngineLanes, ClientsHighWaterMergesAsMaxNotSum) {
   // report the max-merge (and the engine the true global peak) instead.
   constexpr int kConns = 8;
   TestWorld w;
-  mopeye::Config cfg;
-  cfg.worker_lanes = 4;
+  mopeye::Config cfg = mopbase::ScaledConfig(4);
   cfg.telemetry = true;
   ASSERT_TRUE(w.StartEngine(cfg).ok());
   auto* app = w.MakeApp(10174, "com.example.peak", "Peak");
@@ -599,12 +593,8 @@ SkewRunResult RunSkewedScenario(bool steal_enabled) {
   constexpr int kConns = 8;
   constexpr size_t kLanes = 4;
   TestWorld w;
-  mopeye::Config cfg;
-  cfg.worker_lanes = static_cast<int>(kLanes);
-  cfg.tun_read_batch = 8;
+  mopeye::Config cfg = mopbase::ScaledConfig(static_cast<int>(kLanes));
   cfg.steal_enabled = steal_enabled;
-  cfg.steal_queue_threshold = 4;  // test-scale traffic must cross it
-  cfg.lane_tun_write = true;      // gathered egress races re-homing hardest
   EXPECT_TRUE(w.StartEngine(cfg).ok());
   auto* app = w.MakeApp(10180, "com.example.skew", "SkewApp");
   (void)app;
@@ -629,7 +619,9 @@ SkewRunResult RunSkewedScenario(bool steal_enabled) {
     auto addr = w.AddServer(server_ip, 7, Millis(5),
                             [] { return std::make_unique<mopnet::EchoBehavior>(); });
     auto conn = mopapps::AppTcpConnection::Create(&w.stack(), 10180);
-    for (int b = 0; b < 24000 + 997 * i; ++b) {
+    // Enough upload per flow that lane 0's read queue crosses the engine's
+    // 24-packet steal threshold several times over.
+    for (int b = 0; b < 96000 + 997 * i; ++b) {
       out.sent[i].push_back(static_cast<uint8_t>((b * 13 + i) & 0xff));
     }
     conn->on_data = [&out, i](std::span<const uint8_t> d) {
@@ -747,9 +739,7 @@ struct UploadRunResult {
 UploadRunResult RunUploadScenario(bool lane_tun_write) {
   constexpr int kConns = 6;
   TestWorld w;
-  mopeye::Config cfg;
-  cfg.worker_lanes = 4;
-  cfg.tun_read_batch = 8;
+  mopeye::Config cfg = mopbase::ScaledConfig(4);
   cfg.lane_tun_write = lane_tun_write;
   EXPECT_TRUE(w.StartEngine(cfg).ok());
   auto* app = w.MakeApp(10190, "com.example.upload.acks", "AckApp");
@@ -854,10 +844,8 @@ TEST(EngineLaneEgress, SendThenCloseDeliversEveryByte) {
   for (int read_batch : {1, 32}) {
     SCOPED_TRACE("tun_read_batch=" + std::to_string(read_batch));
     TestWorld w;
-    mopeye::Config cfg;
-    cfg.worker_lanes = 8;
+    mopeye::Config cfg = mopbase::ScaledConfig(8);
     cfg.tun_read_batch = read_batch;
-    cfg.lane_tun_write = true;
     ASSERT_TRUE(w.StartEngine(cfg).ok());
     w.MakeApp(10191, "com.example.upload.close", "CloseApp");
 

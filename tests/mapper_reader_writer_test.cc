@@ -148,6 +148,18 @@ TEST(TunRead, BlockingIdleCostsNothing) {
   EXPECT_EQ(w.engine().tun_reader()->busy_time(), 0);
 }
 
+TEST(TunReadDeathTest, ZeroReadBatchAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        TestWorld w;
+        mopeye::Config cfg;
+        cfg.tun_read_batch = 0;
+        (void)w.StartEngine(cfg);
+      },
+      "tun_read_batch must be >= 1");
+}
+
 // ---- Write schemes (§3.5.1) ----
 
 TEST(TunWrite, NewPutAvoidsNotifies) {
@@ -199,29 +211,47 @@ TEST(TunWrite, AllSchemesDeliverAllPackets) {
   }
 }
 
-TEST(TunWrite, BatchedDrainCoalescesBurstsAndDeliversEverything) {
-  // write_batching drains the whole queue per writev-style submission: the
-  // burst of data packets a 40 KB download produces must arrive intact while
-  // costing measurably fewer write submissions than packets written.
+TEST(TunWrite, ScaledEgressLeavesWriterOnlyConnectAndDnsThreadPackets) {
+  // Under the scaled preset every lane flushes its own gathered writes, so
+  // the TunWriter only carries what non-lane producers emit: one SYN/ACK (or
+  // RST) per connection from its connect thread and one reply per DNS query
+  // from the temp thread. Every packet toward the apps takes exactly one of
+  // the two paths.
+  constexpr int kConns = 8;
+  static constexpr size_t kBytes = 300 * 1000;
+  const char* kDomains[] = {"a.egress.test", "b.egress.test", "c.egress.test"};
   TestWorld w;
-  mopeye::Config cfg;
-  cfg.write_batching = true;
-  ASSERT_TRUE(w.StartEngine(cfg).ok());
-  auto addr = w.AddServer(moppkt::IpAddr(93, 52, 0, 3), 7, Millis(5),
-                          [] { return std::make_unique<mopnet::EchoBehavior>(); });
-  auto* app = w.MakeApp(10242, "com.example.batch", "Batch");
-  auto c = std::shared_ptr<mopapps::AppConn>(app->CreateConn().release());
-  size_t got = 0;
-  c->on_data = [&](size_t n) { got += n; };
-  c->Connect(addr, [c](moputil::Status st) {
-    ASSERT_TRUE(st.ok());
-    c->SendBytes(40000);
-  });
-  w.RunMs(5000);
-  EXPECT_EQ(got, 40000u);
-  auto* writer = w.engine().tun_writer();
-  EXPECT_GT(writer->packets_written(), 0u);
-  EXPECT_LT(writer->write_bursts(), writer->packets_written());
+  ASSERT_TRUE(w.StartEngine(mopbase::ScaledConfig(4)).ok());
+  auto* app = w.MakeApp(10243, "com.example.egress", "Egress");
+  std::vector<std::shared_ptr<mopapps::AppTcpConnection>> conns;
+  for (int i = 0; i < kConns; ++i) {
+    auto addr = w.AddServer(
+        moppkt::IpAddr(93, 52, 1, static_cast<uint8_t>(1 + i)), 80, Millis(5),
+        [] { return std::make_unique<mopnet::BulkSourceBehavior>(kBytes); });
+    auto conn = mopapps::AppTcpConnection::Create(&w.stack(), 10243);
+    conn->Connect(addr, [](moputil::Status st) { ASSERT_TRUE(st.ok()); });
+    conns.push_back(std::move(conn));
+  }
+  int resolved = 0;
+  for (const char* domain : kDomains) {
+    w.farm().resolution().Add(domain, moppkt::IpAddr(93, 52, 2, 1));
+    app->Resolve(domain, [&resolved](moputil::Result<mopapps::DnsResult> r) {
+      resolved += r.ok() ? 1 : 0;
+    });
+  }
+  w.RunMs(10000);
+
+  for (const auto& conn : conns) {
+    EXPECT_EQ(conn->bytes_received(), kBytes);
+  }
+  EXPECT_EQ(resolved, 3);
+  auto counters = w.engine().counters();
+  EXPECT_EQ(counters.dns_queries, 3u);
+  const uint64_t writer_packets = w.engine().tun_writer()->packets_written();
+  EXPECT_EQ(counters.lane_write_packets + writer_packets, w.engine().vpn().tun()->packets_in());
+  EXPECT_GT(writer_packets, 0u);
+  EXPECT_LE(writer_packets, kConns + counters.dns_queries);
+  EXPECT_GT(counters.lane_write_packets, writer_packets);
 }
 
 // ---- Timestamp ablation sweep (§2.4) ----
