@@ -48,7 +48,7 @@ void BM_ChecksumPayload(benchmark::State& state) {
 }
 BENCHMARK(BM_ChecksumPayload)->Arg(64)->Arg(1460);
 
-// Forced-implementation variants so the scalar/SSE2/AVX2 gap is visible in
+// Forced-implementation variants so the scalar/AVX2 gap is visible in
 // one run; unsupported impls are skipped rather than silently falling back.
 void BM_ChecksumPayloadImpl(benchmark::State& state) {
   auto impl = static_cast<moppkt::ChecksumImpl>(state.range(0));
@@ -65,7 +65,6 @@ void BM_ChecksumPayloadImpl(benchmark::State& state) {
 }
 BENCHMARK(BM_ChecksumPayloadImpl)
     ->ArgsProduct({{static_cast<int64_t>(moppkt::ChecksumImpl::kScalar),
-                    static_cast<int64_t>(moppkt::ChecksumImpl::kSse2),
                     static_cast<int64_t>(moppkt::ChecksumImpl::kAvx2)},
                    {64, 1460, 9000}});
 
@@ -307,8 +306,7 @@ struct RelayIterationFixture {
 
 void BM_HistogramObserve(benchmark::State& state) {
   // One stage-histogram observation with engine-like lognormal samples: the
-  // unit cost the per-segment telemetry hooks pay (cell-table fast path; the
-  // exact log() fallback only on bucket-boundary slivers).
+  // unit cost the per-segment telemetry hooks pay (one log() per sample).
   moptel::Registry registry(4);
   moptel::Histogram* h = registry.AddHistogram("bench_ms", "bench");
   moputil::Rng rng(0x7e1e);

@@ -80,19 +80,9 @@ struct Config {
 
   enum class PutScheme { kOldPut, kNewPut };
   PutScheme put_scheme = PutScheme::kNewPut;
-  // Spin rounds before the writer gives up and wait()s (§3.5.1's counter
-  // threshold). The window must outlast typical intra-burst packet gaps so
-  // producers almost never find the writer parked.
-  int newput_spin_rounds = 1500;
-  // Fraction of spin wall-time charged as CPU: the check loop yields between
-  // rounds, so it shares the core rather than burning it outright.
-  double spin_cpu_fraction = 0.35;
 
   enum class MappingStrategy { kNaivePerSyn, kCacheBased, kLazy };
   MappingStrategy mapping = MappingStrategy::kLazy;
-  // Sleep slice a non-parsing socket-connect thread waits for the working
-  // thread's results (§3.3 picks 50 ms).
-  SimDuration lazy_wait_slice = moputil::Millis(50);
 
   enum class TimestampMode { kBlockingConnectThread, kSelector };
   TimestampMode timestamp_mode = TimestampMode::kBlockingConnectThread;
@@ -157,14 +147,7 @@ struct Config {
   // the batch wire format are byte-identical to pre-tracing builds.
   uint32_t trace_sample_period = 0;
 
-  // Relay TCP parameters (§3.4).
-  uint16_t mss = 1460;
-  uint16_t window = 65535;
-  // Socket read buffer (and write buffer) per client.
-  size_t socket_buffer = 65535;
-
   bool measure_dns = true;
-  bool relay_non_dns_udp = true;
 
   // ---- Baseline hooks (Haystack emulation) ----
   // Per-packet traffic content inspection cost, charged on the MainWorker for

@@ -13,6 +13,11 @@ namespace mopeye {
 
 namespace {
 constexpr moputil::SimDuration kUdpIdleTimeout = moputil::Seconds(60);
+// Relay TCP parameters (§3.4).
+constexpr uint16_t kRelayMss = 1460;
+constexpr uint16_t kRelayWindow = 65535;
+// Socket read buffer (and write buffer) per client.
+constexpr size_t kSocketBuffer = 65535;
 // Read-queue depth at which a lane declares itself overloaded and publishes
 // its hottest flow as stealable (Config::steal_enabled).
 constexpr size_t kStealQueueThreshold = 24;
@@ -353,7 +358,6 @@ void MopEyeEngine::Stop() {
       }
       if (client->connect_lane) {
         retired_worker_busy_ += client->connect_lane->busy_time();
-        ++retired_worker_count_;
       }
       if (client->channel) {
         client->channel->Deregister();
@@ -368,7 +372,6 @@ void MopEyeEngine::Stop() {
       }
       if (udp->lane) {
         retired_worker_busy_ += udp->lane->busy_time();
-        ++retired_worker_count_;
       }
     }
     lane->udp_clients.clear();
@@ -449,7 +452,7 @@ MopEyeEngine::ResourceUsage MopEyeEngine::resources() const {
   }
   // Memory model: per-client socket read+write buffers (§3.4 sizes them at
   // 64 KiB), queue high-water, and a fixed service overhead.
-  size_t per_client = 2 * config_.socket_buffer + 1024 + config_.extra_memory_per_client;
+  size_t per_client = 2 * kSocketBuffer + 1024 + config_.extra_memory_per_client;
   size_t peak_clients = std::max(counters().clients_high_water, active_clients());
   u.memory_bytes = 10 * 1024 * 1024                      // service heap + runtime-resident
                    + config_.extra_memory_base           // inspection buffers / caches
@@ -591,7 +594,7 @@ void MopEyeEngine::ProcessTunPacket(WorkerLane& lane, moppkt::PacketBuf raw) {
     ++lane.counters.udp_packets;
     if (pkt.udp->dst_port == 53 && config_.measure_dns) {
       HandleDnsQuery(lane, pkt);
-    } else if (config_.relay_non_dns_udp) {
+    } else {
       HandleUdp(lane, pkt);
     }
     return;
@@ -620,8 +623,8 @@ void MopEyeEngine::HandleSyn(WorkerLane& lane, const moppkt::ParsedPacket& pkt) 
     return;
   }
 
-  auto client = std::make_shared<TcpClient>(flow, &lane, lane.rng.NextU32(), config_.mss,
-                                            config_.window);
+  auto client =
+      std::make_shared<TcpClient>(flow, &lane, lane.rng.NextU32(), kRelayMss, kRelayWindow);
   client->sm.NoteSyn(*pkt.tcp);
   lane.clients[flow] = client;
   lane.counters.clients_high_water =
@@ -1027,7 +1030,7 @@ void MopEyeEngine::HandleSocketReadable(const std::shared_ptr<TcpClient>& client
   // §2.3 "Socket Read": pull from the (64 KiB) read buffer and construct data
   // packets for the internal connection. The read lands directly in the
   // buffer carried across the lane hop, sized to what is there to read.
-  std::vector<uint8_t> buf(std::min(client->channel->available(), config_.socket_buffer));
+  std::vector<uint8_t> buf(std::min(client->channel->available(), kSocketBuffer));
   size_t n = client->channel->Read(buf);
   if (n == 0) {
     return;
@@ -1036,7 +1039,7 @@ void MopEyeEngine::HandleSocketReadable(const std::shared_ptr<TcpClient>& client
   moputil::SimDuration cost = config_.costs.socket_op->Sample(home->rng);
   if (config_.content_inspection) {
     // Inspect each MSS-sized chunk of the server's data.
-    for (size_t off = 0; off < n; off += config_.mss) {
+    for (size_t off = 0; off < n; off += kRelayMss) {
       cost += config_.content_inspection->Sample(home->rng);
     }
   }
@@ -1150,7 +1153,6 @@ void MopEyeEngine::RemoveClient(const std::shared_ptr<TcpClient>& client) {
   }
   if (client->connect_lane) {
     retired_worker_busy_ += client->connect_lane->busy_time();
-    ++retired_worker_count_;
   }
   if (client->channel) {
     home->by_channel.erase(client->channel.get());
@@ -1363,7 +1365,6 @@ void MopEyeEngine::HandleDnsQuery(WorkerLane& lane, const moppkt::ParsedPacket& 
                         EmitRawToApp(std::move(datagram), u->lane.get());
                         // Temporary DNS client retires.
                         retired_worker_busy_ += u->lane->busy_time();
-                        ++retired_worker_count_;
                         u->home->udp_clients.erase(u->flow);
                       });
     };
@@ -1403,30 +1404,26 @@ void MopEyeEngine::HandleUdp(WorkerLane& lane, const moppkt::ParsedPacket& pkt) 
       u->last_activity = loop_->Now();
     };
     lane.udp_clients[flow] = udp;
-    // Idle GC for plain UDP associations.
-    WorkerLane* l = &lane;
-    std::weak_ptr<UdpClient> gc_weak = udp;
-    std::function<void()> gc = [this, l, gc_weak, flow]() {
-      auto u = gc_weak.lock();
-      if (!u) {
-        return;
-      }
-      if (loop_->Now() - u->last_activity >= kUdpIdleTimeout) {
-        l->udp_clients.erase(flow);
-        return;
-      }
-      loop_->Schedule(kUdpIdleTimeout, [this, l, gc_weak, flow] {
-        auto u2 = gc_weak.lock();
-        if (u2 && loop_->Now() - u2->last_activity >= kUdpIdleTimeout) {
-          l->udp_clients.erase(flow);
-        }
-      });
-    };
-    loop_->Schedule(kUdpIdleTimeout, gc);
+    ScheduleUdpIdleCheck(&lane, udp, flow);
   }
   udp->last_activity = loop_->Now();
   std::vector<uint8_t> payload(pkt.udp->payload.begin(), pkt.udp->payload.end());
   udp->socket->SendTo(flow.remote, std::move(payload));
+}
+
+void MopEyeEngine::ScheduleUdpIdleCheck(WorkerLane* lane, std::weak_ptr<UdpClient> udp,
+                                        const moppkt::FlowKey& flow) {
+  loop_->Schedule(kUdpIdleTimeout, [this, lane, udp, flow] {
+    auto u = udp.lock();
+    if (!u) {
+      return;
+    }
+    if (loop_->Now() - u->last_activity >= kUdpIdleTimeout) {
+      lane->udp_clients.erase(flow);
+    } else {
+      ScheduleUdpIdleCheck(lane, udp, flow);
+    }
+  });
 }
 
 // ---------------- Telemetry accessors ----------------

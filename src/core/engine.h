@@ -340,6 +340,10 @@ class MopEyeEngine {
   void FlushSocketWrites(const std::shared_ptr<TcpClient>& client);
   void HandleSocketReadable(const std::shared_ptr<TcpClient>& client);
   void HandleUdp(WorkerLane& lane, const moppkt::ParsedPacket& pkt);
+  // Plain-UDP idle GC: every kUdpIdleTimeout after the association opens,
+  // drop it if it saw no datagram for a whole timeout, else check again.
+  void ScheduleUdpIdleCheck(WorkerLane* lane, std::weak_ptr<UdpClient> udp,
+                            const moppkt::FlowKey& flow);
   void HandleDnsQuery(WorkerLane& lane, const moppkt::ParsedPacket& pkt);
   void RemoveClient(const std::shared_ptr<TcpClient>& client);
 
@@ -401,7 +405,6 @@ class MopEyeEngine {
   // device in trace ids without shipping the model string per record.
   uint32_t trace_device_hash_ = 0;
   moputil::SimDuration retired_worker_busy_ = 0;
-  size_t retired_worker_count_ = 0;
 
   // Live-client tracking for the true (max-merge) global high water. All
   // lanes are virtual actors on the loop thread, so plain fields are

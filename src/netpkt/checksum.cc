@@ -87,7 +87,7 @@ uint64_t ScalarSum(const uint8_t* p, size_t n) {
 
 #if MOPEYE_CHECKSUM_X86
 
-// Sums the < 16-byte tail the vector loops leave behind. Plain adds of
+// Sums the < 32-byte tail the AVX2 loop leaves behind. Plain adds of
 // zero-extended words cannot carry at these sizes.
 inline uint64_t SmallTailSum(const uint8_t* p, size_t n) {
   uint64_t sum = 0;
@@ -107,36 +107,15 @@ inline uint64_t SmallTailSum(const uint8_t* p, size_t n) {
 }
 
 // Largest block a 32-bit vector lane can accumulate without overflow:
-// 65504 B = 32752 words; one SSE2 lane sees 8188 of them, 8188 * 0xffff
-// < 2^30. Chunking at this size keeps the loop overflow-free for any
+// 65504 B = 32752 words; one AVX2 lane sees 4094 of them, 4094 * 0xffff
+// < 2^28. Chunking at this size keeps the loop overflow-free for any
 // buffer length, not just MTU-sized packets.
 constexpr size_t kVecChunk = 65504;
 
-// SSE2 inner sum: widen eight 16-bit words per load into 32-bit lanes.
-// Unaligned loads only; never reads past data.size().
-uint64_t Sse2Sum(const uint8_t* p, size_t n) {
-  uint64_t sum = 0;
-  const __m128i zero = _mm_setzero_si128();
-  while (n >= 16) {
-    size_t chunk = n < kVecChunk ? (n & ~size_t{15}) : kVecChunk;
-    __m128i acc = _mm_setzero_si128();
-    const uint8_t* end = p + chunk;
-    for (; p != end; p += 16) {
-      __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
-      acc = _mm_add_epi32(acc, _mm_unpacklo_epi16(v, zero));
-      acc = _mm_add_epi32(acc, _mm_unpackhi_epi16(v, zero));
-    }
-    alignas(16) uint32_t lanes[4];
-    _mm_store_si128(reinterpret_cast<__m128i*>(lanes), acc);
-    sum += static_cast<uint64_t>(lanes[0]) + lanes[1] + lanes[2] + lanes[3];
-    n -= chunk;
-  }
-  return sum + SmallTailSum(p, n);
-}
-
-// AVX2 inner sum: sixteen words per load. Compiled with a per-function
-// target attribute so the baseline build stays SSE2-only; only reachable
-// after the cpuid dispatch confirms AVX2.
+// AVX2 inner sum: sixteen words per load, widened into 32-bit lanes.
+// Unaligned loads only; never reads past data.size(). Compiled with a
+// per-function target attribute so the baseline build needs no AVX2; only
+// reachable after the cpuid dispatch confirms it.
 __attribute__((target("avx2"))) uint64_t Avx2Sum(const uint8_t* p, size_t n) {
   uint64_t sum = 0;
   const __m256i zero = _mm256_setzero_si256();
@@ -155,9 +134,6 @@ __attribute__((target("avx2"))) uint64_t Avx2Sum(const uint8_t* p, size_t n) {
            lanes[4] + lanes[5] + lanes[6] + lanes[7];
     n -= chunk;
   }
-  if (n >= 16) {
-    return sum + Sse2Sum(p, n);
-  }
   return sum + SmallTailSum(p, n);
 }
 
@@ -170,24 +146,14 @@ ChecksumImpl ResolveImpl() {
   if (__builtin_cpu_supports("avx2")) {
     return ChecksumImpl::kAvx2;
   }
-  return ChecksumImpl::kSse2;  // baseline on x86-64, no cpuid needed
-#else
-  return ChecksumImpl::kScalar;
 #endif
+  return ChecksumImpl::kScalar;
 }
 
 SumFn SumFnFor(ChecksumImpl impl) {
 #if MOPEYE_CHECKSUM_X86
-  switch (impl) {
-    case ChecksumImpl::kAvx2:
-      if (__builtin_cpu_supports("avx2")) {
-        return &Avx2Sum;
-      }
-      return &ScalarSum;
-    case ChecksumImpl::kSse2:
-      return &Sse2Sum;
-    case ChecksumImpl::kScalar:
-      return &ScalarSum;
+  if (impl == ChecksumImpl::kAvx2 && __builtin_cpu_supports("avx2")) {
+    return &Avx2Sum;
   }
 #endif
   (void)impl;
@@ -229,8 +195,6 @@ const char* ChecksumImplName(ChecksumImpl impl) {
   switch (impl) {
     case ChecksumImpl::kScalar:
       return "scalar";
-    case ChecksumImpl::kSse2:
-      return "sse2";
     case ChecksumImpl::kAvx2:
       return "avx2";
   }

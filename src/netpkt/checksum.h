@@ -18,9 +18,10 @@ class IpAddr;
 // enough to keep chaining overflow-free but is only meaningful modulo
 // 0xffff — always go through ChecksumFinish.
 //
-// Runtime-dispatched: on x86-64 the inner sum runs SSE2 (baseline) or AVX2
-// (picked once via cpuid), widening 16-bit words into 32-bit vector lanes;
-// elsewhere the scalar 8-bytes-at-a-time end-around-carry loop is used.
+// Runtime-dispatched: on x86-64 with AVX2 (picked once via cpuid) the inner
+// sum widens 16-bit words into 32-bit vector lanes; everywhere else the
+// scalar 8-bytes-at-a-time end-around-carry loop is used (it beats SSE2 from
+// 20 B through MTU size, so no SSE2 variant is kept).
 // All implementations are bit-identical (RFC 1071 §2(B): the
 // one's-complement sum is associative and byte-order independent up to a
 // final swap), which the netpkt_test fuzz suite asserts exhaustively.
@@ -28,7 +29,7 @@ uint32_t ChecksumPartial(std::span<const uint8_t> data, uint32_t initial = 0);
 
 // The concrete inner-loop implementations. kScalar is always supported and
 // is the oracle the vector paths are fuzzed against.
-enum class ChecksumImpl { kScalar, kSse2, kAvx2 };
+enum class ChecksumImpl { kScalar, kAvx2 };
 
 // The implementation ChecksumPartial dispatches to on this machine.
 ChecksumImpl ActiveChecksumImpl();
@@ -36,7 +37,7 @@ ChecksumImpl ActiveChecksumImpl();
 // True if `impl` can run on this machine.
 bool ChecksumImplSupported(ChecksumImpl impl);
 
-// Stable lowercase name ("scalar", "sse2", "avx2") for logs and benches.
+// Stable lowercase name ("scalar", "avx2") for logs and benches.
 const char* ChecksumImplName(ChecksumImpl impl);
 
 // Forced-implementation variants for tests and benches. ChecksumPartialWith

@@ -1,13 +1,6 @@
 #include "telemetry/metrics.h"
 
-#include <algorithm>
-#include <cassert>
-#include <cmath>
 #include <cstdio>
-#include <limits>
-#include <map>
-
-#include "util/thread_annotations.h"
 
 namespace moptel {
 
@@ -33,130 +26,16 @@ uint64_t Histogram::LaneCount(size_t lane) const {
 // ---- Histogram ----
 
 Histogram::Histogram(size_t lanes, double rel_err)
-    : rel_err_(rel_err), max_clamp_(moputil::kLogQuantileMax), shards_(lanes) {
-  assert(rel_err > 0.0 && rel_err < 1.0);
-  double gamma = (1.0 + rel_err) / (1.0 - rel_err);
-  log_gamma_ = std::log(gamma);
-  inv_log_gamma_ = 1.0 / log_gamma_;
+    : rel_err_(rel_err), rule_(rel_err), shards_(lanes) {
   // Preallocate the whole clamp span. Values below the clamp floor go to the
   // zero bucket (LogQuantile::Add semantics), so lo_index_ = IndexOf(min) is
   // a safe floor for every bucketable input; the clamp in Observe() caps the
   // top at hi_index_.
-  lo_index_ = IndexOf(moputil::kLogQuantileMin);
-  hi_index_ = IndexOf(moputil::kLogQuantileMax);
+  lo_index_ = rule_.IndexOf(moputil::kLogQuantileMin);
+  hi_index_ = rule_.IndexOf(moputil::kLogQuantileMax);
   for (Shard& s : shards_) {
     s.counts.assign(static_cast<size_t>(hi_index_ - lo_index_) + 1, 0);
   }
-  table_ = AcquireTable(rel_err_, log_gamma_, lo_index_, hi_index_, max_clamp_);
-  if (!table_->cells.empty()) {
-    cell_shift_ = table_->cell_shift;
-    cell_base_ = table_->cell_base;
-    cells_ = table_->cells.data();
-    num_cells_ = table_->cells.size();
-  }
-}
-
-std::shared_ptr<const Histogram::Table> Histogram::AcquireTable(
-    double rel_err, double log_gamma, int lo_index, int hi_index,
-    double max_clamp) {
-  // The table is a pure function of rel_err (every other input derives from
-  // it plus the process-wide clamp constants), so one immutable instance per
-  // precision serves all histograms. Keyed by bit pattern; never evicted — a
-  // process uses a handful of distinct precisions, and a table is ~100 KB
-  // that used to be rebuilt (with ~2k exp() calls) per histogram.
-  static moputil::Mutex mu;
-  static auto* cache = new std::map<uint64_t, std::shared_ptr<const Table>>();
-  uint64_t key;
-  std::memcpy(&key, &rel_err, sizeof(key));
-  {
-    moputil::MutexLock lock(mu);
-    auto it = cache->find(key);
-    if (it != cache->end()) return it->second;
-  }
-
-  auto table = std::make_shared<Table>();
-  BuildTable(table.get(), log_gamma, lo_index, hi_index, max_clamp);
-  moputil::MutexLock lock(mu);
-  // First builder wins a construction race; the duplicate is dropped.
-  return cache->emplace(key, std::move(table)).first->second;
-}
-
-void Histogram::BuildTable(Table* table, double log_gamma, int lo_index,
-                           int hi_index, double max_clamp) {
-  // Cells must be narrower than a bucket so each cell overlaps at most two
-  // buckets; pick the coarsest mantissa split that satisfies that. Very tight
-  // rel_err would need a huge table — leave the cells empty and let every
-  // sample take the exact slow path instead.
-  int k = 1;
-  while (std::log(2.0) / static_cast<double>(1 << k) >= log_gamma && k <= 8) ++k;
-  if (k > 8) return;
-  table->cell_shift = static_cast<uint32_t>(52 - k);
-
-  // Approximate bucket boundaries B[j] ~= gamma^(lo_index + j). Exact
-  // placement does not matter: acceptance intervals are shrunk inward by
-  // kMargin (~2.5e-8 in index units), dwarfing both the exp() error here and
-  // the worst-case log()*mul rounding (< 1e-12) in IndexOf, so an accepted
-  // sample's bucket is certain and boundary slivers fall through to the
-  // exact path.
-  constexpr double kMargin = 1e-9;
-  std::vector<double> bounds(static_cast<size_t>(hi_index - lo_index) + 2);
-  for (size_t j = 0; j < bounds.size(); ++j) {
-    bounds[j] = std::exp(static_cast<double>(lo_index + static_cast<int>(j)) * log_gamma);
-  }
-  double floor_lo = moputil::kLogQuantileMin * (1.0 + kMargin);
-  double ceil_hi = max_clamp * (1.0 - kMargin);
-
-  int min_exp = std::ilogb(moputil::kLogQuantileMin);
-  int max_exp = std::ilogb(max_clamp);
-  table->cell_base = static_cast<uint64_t>(min_exp + 1023) << k;
-  table->cells.assign(static_cast<size_t>(max_exp - min_exp + 1) << k, Cell());
-  const uint64_t cell_base = table->cell_base;
-  const uint32_t cell_shift = table->cell_shift;
-  std::vector<Cell>& cells = table->cells;
-  const double kInf = std::numeric_limits<double>::infinity();
-  for (size_t j = 0; j < cells.size(); ++j) {
-    Cell& c = cells[j];
-    c.lo0 = kInf;  // always-slow unless proven otherwise below
-    c.hi0 = kInf;
-    c.lo1 = kInf;
-    double a, b;
-    uint64_t a_bits = (cell_base + j) << cell_shift;
-    uint64_t b_bits = (cell_base + j + 1) << cell_shift;
-    std::memcpy(&a, &a_bits, sizeof(a));
-    std::memcpy(&b, &b_bits, sizeof(b));
-    auto it = std::upper_bound(bounds.begin(), bounds.end(), a);
-    if (it == bounds.begin()) continue;  // below the lowest bucket
-    size_t bi = static_cast<size_t>(it - bounds.begin()) - 1;
-    if (bi + 1 >= bounds.size()) continue;  // above the clamp span
-    double lo0 = std::max(bounds[bi] * (1.0 + kMargin), floor_lo);
-    double hi0 = bounds[bi + 1] * (1.0 - kMargin);
-    if (hi0 >= b) {
-      // Whole cell inside one bucket; the cell index already caps x < b.
-      if (b <= ceil_hi) {
-        c.slot0 = static_cast<uint32_t>(bi);
-        c.lo0 = lo0;
-      }
-      continue;
-    }
-    // Straddling cell: the upper part belongs to bucket bi + 1. Top-edge
-    // cells (beyond the bounds array or the clamp ceiling) stay always-slow.
-    if (bi + 2 >= bounds.size() || b > std::min(bounds[bi + 2] * (1.0 - kMargin), ceil_hi)) {
-      continue;
-    }
-    c.slot0 = static_cast<uint32_t>(bi);
-    c.lo0 = lo0;
-    c.hi0 = hi0;
-    c.lo1 = bounds[bi + 1] * (1.0 + kMargin);
-  }
-}
-
-void Histogram::ObserveSlow(Shard* s, double x) {
-  if (!(x > moputil::kLogQuantileMin)) {  // NaN lands here too
-    ++s->zero_or_less;
-    return;
-  }
-  int idx = IndexOf(x < max_clamp_ ? x : max_clamp_);
-  ++s->counts[static_cast<size_t>(idx - lo_index_)];
 }
 
 moputil::LogQuantile Histogram::Merged() const {

@@ -8,10 +8,8 @@
 #ifndef MOPEYE_TELEMETRY_METRICS_H_
 #define MOPEYE_TELEMETRY_METRICS_H_
 
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <functional>
 #include <memory>
 #include <string>
@@ -84,41 +82,24 @@ class Gauge {
 // Latency histogram with moputil::LogQuantile's exact bucket geometry, but
 // with the span preallocated across the full clamp range
 // [kLogQuantileMin, kLogQuantileMax] so Observe() never grows a vector.
+// Buckets come from LogQuantile::IndexOf, the one log-bucket rule, and
 // Merged() restores the summed buckets into a LogQuantile, so quantile
 // answers are bit-identical to feeding every sample through one sketch.
-//
-// Observe() avoids libm's log() on the hot path with a cell table built at
-// construction: the sample's exponent and top mantissa bits index a cell
-// that pre-resolves the bucket, with the cell's bucket boundary shrunk
-// inward by a relative margin orders of magnitude wider than the worst-case
-// log/multiply rounding error. Any sample the cell accepts provably gets the
-// same bucket IndexOf() would compute; samples inside the ~1e-9 boundary
-// sliver (and anything outside the table's range: NaN, negatives, the zero
-// bucket, the clamp) fall back to the exact slow path. Steady state is one
-// add, a shift, and two compares per sample.
 class Histogram {
  public:
   Histogram(size_t lanes, double rel_err = 0.02);
 
+  // LogQuantile::Add's clamping over preallocated buckets: one log() per
+  // sample, no allocation.
   void Observe(size_t lane, double x) {
     Shard& s = shards_[lane];
     s.sum += x;
-    uint64_t bits;
-    std::memcpy(&bits, &x, sizeof(bits));  // NaN/negative/zero index out of range
-    uint64_t cell = (bits >> cell_shift_) - cell_base_;
-    if (cell < num_cells_) {
-      const Cell& c = cells_[cell];
-      if (x <= c.hi0) {
-        if (x >= c.lo0) {
-          ++s.counts[c.slot0];
-          return;
-        }
-      } else if (x >= c.lo1) {
-        ++s.counts[c.slot0 + 1];
-        return;
-      }
+    if (!(x > moputil::kLogQuantileMin)) {  // NaN lands here too
+      ++s.zero_or_less;
+      return;
     }
-    ObserveSlow(&s, x);
+    int idx = rule_.IndexOf(x < moputil::kLogQuantileMax ? x : moputil::kLogQuantileMax);
+    ++s.counts[static_cast<size_t>(idx - lo_index_)];
   }
 
   moputil::LogQuantile Merged() const;
@@ -131,10 +112,6 @@ class Histogram {
   size_t lanes() const { return shards_.size(); }
   size_t bucket_span() const { return static_cast<size_t>(hi_index_ - lo_index_) + 1; }
   double rel_err() const { return rel_err_; }
-  // Identity of the immutable cell table. Same-geometry histograms (equal
-  // rel_err) share one table through a process-wide cache instead of each
-  // rebuilding ~2k cells; telemetry_test asserts the pointer equality.
-  const void* cell_table_id() const { return table_.get(); }
 
  private:
   // Per-lane shard; padded out so concurrent real-thread writers (TSan test)
@@ -148,55 +125,12 @@ class Histogram {
     std::vector<uint32_t> counts;  // fixed span, preallocated
   };
 
-  // One entry per (exponent, top mantissa bits) cell. Cells are narrower
-  // than a bucket, so a cell overlaps at most two buckets: x <= hi0 and
-  // x >= lo0 proves bucket slot0; x >= lo1 proves slot0 + 1; the margin
-  // sliver in between goes to the slow path. Single-bucket cells set
-  // hi0 = +inf (the cell index already bounds x from above).
-  struct Cell {
-    double lo0 = 0;
-    double hi0 = 0;
-    double lo1 = 0;
-    uint32_t slot0 = 0;
-    uint32_t pad = 0;
-  };
-
-  // The cell table is immutable after construction and a pure function of
-  // rel_err (the rest of the geometry derives from it plus the global clamp
-  // range), so same-geometry histograms share one table via a process-wide
-  // cache. cells empty = no fast path (rel_err too tight for a useful split).
-  struct Table {
-    uint32_t cell_shift = 63;
-    uint64_t cell_base = 0;
-    std::vector<Cell> cells;
-  };
-
-  // Must stay the exact expression moputil::LogQuantile uses so bucket
-  // boundaries are bit-identical.
-  int IndexOf(double x) const {
-    return static_cast<int>(std::floor(std::log(x) * inv_log_gamma_));
-  }
-  void ObserveSlow(Shard* s, double x);
-  static std::shared_ptr<const Table> AcquireTable(double rel_err,
-                                                   double log_gamma,
-                                                   int lo_index, int hi_index,
-                                                   double max_clamp);
-  static void BuildTable(Table* table, double log_gamma, int lo_index,
-                         int hi_index, double max_clamp);
   moputil::LogQuantile LaneSketch(size_t lane) const;
 
   double rel_err_;
-  double inv_log_gamma_;
-  double log_gamma_;
-  double max_clamp_;
+  moputil::LogQuantile rule_;  // never fed; supplies IndexOf for rel_err_
   int lo_index_;
   int hi_index_;
-  std::shared_ptr<const Table> table_;
-  // Hot-path copies of the table fields: one indirection fewer per Observe.
-  uint32_t cell_shift_ = 63;  // no-table default: every sample goes slow path
-  uint64_t cell_base_ = 0;
-  const Cell* cells_ = nullptr;
-  size_t num_cells_ = 0;
   std::vector<Shard> shards_;
 };
 

@@ -189,10 +189,6 @@ LogQuantile::LogQuantile(double rel_err) {
   inv_log_gamma_ = 1.0 / log_gamma_;
 }
 
-int LogQuantile::IndexOf(double x) const {
-  return static_cast<int>(std::floor(std::log(x) * inv_log_gamma_));
-}
-
 uint32_t& LogQuantile::BucketAt(int idx) {
   if (counts_.empty()) {
     lo_index_ = idx;

@@ -4,6 +4,7 @@
 #ifndef MOPEYE_UTIL_STATS_H_
 #define MOPEYE_UTIL_STATS_H_
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -131,8 +132,14 @@ class LogQuantile {
   double Median() const { return Quantile(50.0); }
   size_t bucket_count() const { return counts_.size(); }
 
+  // The log-bucket rule, defined only here: the bucket index of x, for x
+  // already clamped to (kLogQuantileMin, kLogQuantileMax]. moptel::Histogram
+  // buckets through it too, so the two sketch bit-identical buckets.
+  int IndexOf(double x) const {
+    return static_cast<int>(std::floor(std::log(x) * inv_log_gamma_));
+  }
+
  private:
-  int IndexOf(double x) const;
   // Grows the dense span so `idx` is addressable; returns its slot.
   uint32_t& BucketAt(int idx);
   // Bucket-midpoint value of the sample at 0-based `rank`.

@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <string>
+#include <vector>
 
 #include "baselines/mobiperf.h"
 #include "baselines/presets.h"
@@ -172,27 +173,51 @@ TEST(EngineStress, StopMidTrafficIsClean) {
 TEST(EngineStress, NonDnsUdpIsRelayed) {
   TestWorld w;
   ASSERT_TRUE(w.StartEngine().ok());
-  // A UDP echo service on port 9999.
+  // A UDP echo service on port 9999 that logs each datagram's source port,
+  // i.e. which relay socket carried it.
   moppkt::SocketAddr udp_server{moppkt::IpAddr(93, 81, 0, 10), 9999};
   w.paths().SetPath(udp_server.ip, std::make_shared<moputil::FixedDelay>(Millis(5)));
-  w.farm().AddUdpServer(udp_server, [](const moppkt::SocketAddr&,
-                                       std::span<const uint8_t> payload,
-                                       const mopnet::UdpReplyFn& reply) {
+  std::vector<uint16_t> relay_ports;
+  w.farm().AddUdpServer(udp_server, [&relay_ports](const moppkt::SocketAddr& from,
+                                                   std::span<const uint8_t> payload,
+                                                   const mopnet::UdpReplyFn& reply) {
+    relay_ports.push_back(from.port);
     reply(std::vector<uint8_t>(payload.begin(), payload.end()), Millis(1));
   });
-  // App sends a raw UDP datagram through the tunnel and awaits the echo.
+  // App sends raw UDP datagrams through the tunnel and awaits the echoes.
   uint16_t port = w.stack().AllocatePort();
-  bool got_echo = false;
+  int echoes = 0;
   w.stack().RegisterUdp(port, [&](const moppkt::ParsedPacket& pkt) {
-    got_echo = pkt.is_udp() && pkt.udp->payload.size() == 4;
+    if (pkt.is_udp() && pkt.udp->payload.size() == 4) {
+      ++echoes;
+    }
   });
   std::vector<uint8_t> payload{1, 2, 3, 4};
-  w.stack().Send(moppkt::BuildUdpDatagram(port, 9999, payload, w.device().tun_address(),
-                                          udp_server.ip));
+  auto send = [&] {
+    w.stack().Send(moppkt::BuildUdpDatagram(port, 9999, payload, w.device().tun_address(),
+                                            udp_server.ip));
+  };
+  send();
   w.RunMs(2000);
-  EXPECT_TRUE(got_echo);
+  EXPECT_EQ(echoes, 1);
   // Not DNS: no DNS measurement must appear.
   EXPECT_EQ(w.engine().store().CountKind(mopeye::MeasureKind::kDns), 0u);
+
+  // Datagrams at 30 s and 100 s keep the association active at the idle GC's
+  // checks at 60 s and 120 s; idle from then on, it must still be collected,
+  // so the datagram at 400 s goes out on a new relay socket.
+  w.RunMs(28000);
+  send();
+  w.RunMs(70000);
+  send();
+  w.RunMs(300000);
+  send();
+  w.RunMs(2000);
+  EXPECT_EQ(echoes, 4);
+  ASSERT_EQ(relay_ports.size(), 4u);
+  EXPECT_EQ(relay_ports[1], relay_ports[0]);
+  EXPECT_EQ(relay_ports[2], relay_ports[0]);
+  EXPECT_NE(relay_ports[3], relay_ports[0]);
 }
 
 TEST(EngineStress, MeasurementCsvExportRoundTrips) {

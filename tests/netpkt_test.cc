@@ -151,8 +151,7 @@ TEST(ChecksumSimd, AllImplsMatchScalarAcrossAlignmentsAndLengths) {
     arena[i] = 0xff;
   }
 
-  const moppkt::ChecksumImpl impls[] = {moppkt::ChecksumImpl::kSse2,
-                                        moppkt::ChecksumImpl::kAvx2};
+  const moppkt::ChecksumImpl impls[] = {moppkt::ChecksumImpl::kAvx2};
   // Dense lengths through the vector-width boundaries, then strides to 9000,
   // plus the MTU/jumbo sizes the relay actually emits.
   std::vector<size_t> lengths;
@@ -192,8 +191,7 @@ TEST(ChecksumSimd, AllImplsMatchScalarAcrossAlignmentsAndLengths) {
 
 TEST(ChecksumSimd, RandomFuzzWithChainedInitials) {
   moputil::Rng rng(42);
-  const moppkt::ChecksumImpl impls[] = {moppkt::ChecksumImpl::kSse2,
-                                        moppkt::ChecksumImpl::kAvx2};
+  const moppkt::ChecksumImpl impls[] = {moppkt::ChecksumImpl::kAvx2};
   for (int trial = 0; trial < 2000; ++trial) {
     size_t len = rng.UniformInt(0, 2048);
     size_t offset = rng.UniformInt(0, 32);
