@@ -46,6 +46,8 @@ int main(int argc, char** argv) {
   for (size_t a = 0; a < head_apps; ++a) {
     app_weights.push_back(world.apps()[a].install_rate * world.apps()[a].usage_weight);
   }
+  const moputil::WeightedCdf app_cdf(app_weights);
+
   const std::string probe_app = world.apps()[0].label;
   moputil::Samples probe_exact;
 
@@ -61,7 +63,7 @@ int main(int argc, char** argv) {
                   country.cellular_isps[device % country.cellular_isps.size()])];
     mopcollect::BatchBuilder builder(device, /*batch_seq=*/device);
     for (size_t i = 0; i < kBatch && generated < total_records; ++i, ++generated) {
-      size_t a = rng.WeightedIndex(app_weights);
+      size_t a = rng.WeightedIndex(app_cdf);
       const auto& app = world.apps()[a];
       bool wifi = isp == nullptr || rng.Bernoulli(0.5);
       mopnet::NetType net = wifi ? mopnet::NetType::kWifi : isp->type;

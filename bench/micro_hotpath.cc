@@ -8,6 +8,7 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -24,6 +25,7 @@
 #include "netpkt/packet_buf.h"
 #include "netpkt/tcp.h"
 #include "netpkt/tcp_template.h"
+#include "sim/actor.h"
 #include "sim/event_loop.h"
 #include "telemetry/metrics.h"
 #include "tests/test_world.h"
@@ -447,6 +449,33 @@ void BM_EventLoopChurn(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_EventLoopChurn)->Arg(1 << 10)->Arg(1 << 16);
+
+// ActorLane backlog: 8 lanes each get ~8k tasks queued at once (a burst of
+// work arriving faster than the lanes serve it), then the loop drains them.
+// Timed per task, submit and run together.
+void BM_ActorLaneBacklog(benchmark::State& state) {
+  constexpr int kLanes = 8;
+  constexpr int kTasksPerLane = 8192;
+  mopsim::EventLoop loop;
+  std::vector<std::unique_ptr<mopsim::ActorLane>> lanes;
+  for (int i = 0; i < kLanes; ++i) {
+    lanes.push_back(std::make_unique<mopsim::ActorLane>(&loop, "lane-" + std::to_string(i)));
+  }
+  moputil::Rng rng(42);
+  uint64_t ran = 0;
+  for (auto _ : state) {
+    for (int t = 0; t < kTasksPerLane; ++t) {
+      for (auto& lane : lanes) {
+        lane->Submit(moputil::Micros(rng.UniformInt(0, 5)), moputil::Micros(rng.UniformInt(1, 20)),
+                     [&ran] { ++ran; });
+      }
+    }
+    loop.Run();
+  }
+  benchmark::DoNotOptimize(ran);
+  state.SetItemsProcessed(state.iterations() * kLanes * kTasksPerLane);
+}
+BENCHMARK(BM_ActorLaneBacklog)->Unit(benchmark::kMillisecond);
 
 // Keeps a handle on its ServerConn so the bench can push data at will.
 class HeldConn : public mopnet::ServerBehavior {

@@ -34,7 +34,7 @@ struct GroupDomains {
 
 struct AppDomains {
   std::vector<GroupDomains> groups;
-  std::vector<double> group_weights;
+  moputil::WeightedCdf group_cdf;  // by traffic weight
 };
 
 }  // namespace
@@ -53,6 +53,7 @@ CrowdDataset Study::Run() {
   // ---- Intern every concrete domain up front ----
   std::vector<AppDomains> app_domains(apps.size());
   for (size_t a = 0; a < apps.size(); ++a) {
+    std::vector<double> group_weights;
     for (const auto& group : apps[a].domains) {
       GroupDomains gd;
       gd.extra_median_ms = group.extra_median_ms > 0
@@ -67,8 +68,9 @@ CrowdDataset Study::Run() {
         gd.ids.push_back(ds.InternDomain(name));
       }
       app_domains[a].groups.push_back(std::move(gd));
-      app_domains[a].group_weights.push_back(group.traffic_weight);
+      group_weights.push_back(group.traffic_weight);
     }
+    app_domains[a].group_cdf = moputil::WeightedCdf(group_weights);
   }
 
   // ---- Device roster ----
@@ -216,6 +218,7 @@ CrowdDataset Study::Run() {
     const CountryProfile& c = countries[info.country_id];
     const IspProfile* cell_isp =
         info.cellular_isp >= 0 ? &isps[static_cast<size_t>(info.cellular_isp)] : nullptr;
+    const moputil::WeightedCdf app_cdf(state.app_weights);
 
     for (uint64_t m = 0; m < state.quota; ++m) {
       CrowdRecord rec;
@@ -239,10 +242,10 @@ CrowdDataset Study::Run() {
       const IspProfile* isp = net == mopnet::NetType::kWifi ? nullptr : cell_isp;
 
       // App + domain for this connection (DNS also names a domain).
-      size_t app_pos = rng.WeightedIndex(state.app_weights);
+      size_t app_pos = rng.WeightedIndex(app_cdf);
       uint16_t app_id = state.app_ids[app_pos];
       const AppDomains& ad = app_domains[app_id];
-      size_t group = rng.WeightedIndex(ad.group_weights);
+      size_t group = rng.WeightedIndex(ad.group_cdf);
       const GroupDomains& gd = ad.groups[group];
       rec.domain_id = gd.ids[static_cast<size_t>(
           rng.UniformInt(0, static_cast<int64_t>(gd.ids.size()) - 1))];

@@ -93,13 +93,7 @@ void ServerConn::SendShared(const std::shared_ptr<const std::vector<uint8_t>>& b
     moputil::SimTime arrival = ctx_->downlink().DeliverAfter(now + one_way_, chunk);
     arrival = std::max(arrival, client->last_client_delivery_);
     client->last_client_delivery_ = arrival;
-    std::weak_ptr<SocketChannel> weak = client_;
-    ctx_->loop()->ScheduleAt(
-        arrival, [weak, piece = ByteSlice{buf, offset & offset_mask, chunk}]() mutable {
-          if (auto ch = weak.lock()) {
-            ch->DeliverFromServer(std::move(piece));
-          }
-        });
+    client->downlink_.Push(arrival, ByteSlice{buf, offset & offset_mask, chunk});
   }
 }
 
@@ -115,12 +109,7 @@ void ServerConn::Close() {
   moputil::SimTime now = ctx_->loop()->Now();
   moputil::SimTime arrival = std::max(now + one_way_, client->last_client_delivery_ + 1);
   client->last_client_delivery_ = arrival;
-  std::weak_ptr<SocketChannel> weak = client_;
-  ctx_->loop()->ScheduleAt(arrival, [weak] {
-    if (auto ch = weak.lock()) {
-      ch->ServerClosed();
-    }
-  });
+  client->downlink_.Push(arrival, ByteSlice{});  // FIN
 }
 
 void ServerConn::Reset() {
@@ -144,10 +133,20 @@ void ServerConn::Reset() {
 // ---------------- SocketChannel ----------------
 
 std::shared_ptr<SocketChannel> SocketChannel::Create(NetContext* ctx) {
-  return std::shared_ptr<SocketChannel>(new SocketChannel(ctx));
+  std::shared_ptr<SocketChannel> ch(new SocketChannel(ctx));
+  ch->downlink_.sink().channel = ch;
+  return ch;
 }
 
-SocketChannel::SocketChannel(NetContext* ctx) : ctx_(ctx) { MOP_CHECK(ctx != nullptr); }
+namespace {
+mopsim::EventLoop* CheckedLoop(NetContext* ctx) {
+  MOP_CHECK(ctx != nullptr);
+  return ctx->loop();
+}
+}  // namespace
+
+SocketChannel::SocketChannel(NetContext* ctx)
+    : ctx_(ctx), downlink_(CheckedLoop(ctx), ToClient{}), uplink_(ctx->loop(), ToServer{}) {}
 
 SocketChannel::~SocketChannel() {
   if (server_conn_ && server_conn_->behavior() != nullptr) {
@@ -234,6 +233,7 @@ void SocketChannel::HandleSynAtServer(moputil::SimDuration syn_ow) {
   data_one_way_ = (syn_ow + synack_ow) / 2;
   server_conn_ = std::make_shared<ServerConn>(weak_from_this(), ctx_, remote_, data_one_way_);
   server_conn_->set_behavior(entry->factory());
+  uplink_.sink().conn = server_conn_;
   auto conn = server_conn_;
   ctx_->loop()->Schedule(accept_delay, [weak, conn, synack_ow] {
     auto ch = weak.lock();
@@ -293,20 +293,13 @@ void SocketChannel::Write(std::vector<uint8_t> data) {
   moputil::SimTime now = ctx_->loop()->Now();
   ctx_->capture().Record(now, CaptureEvent::kTcpData, CaptureDir::kOut, local_, remote_,
                          data.size());
-  auto conn = server_conn_;
   auto buf = std::make_shared<const std::vector<uint8_t>>(std::move(data));
   for (size_t offset = 0; offset < buf->size(); offset += kMss) {
     size_t chunk = std::min(kMss, buf->size() - offset);
     moputil::SimTime departed = ctx_->uplink().DeliverAfter(now, chunk);
     moputil::SimTime arrival = departed + data_one_way_;
     last_server_delivery_ = arrival;
-    ctx_->loop()->ScheduleAt(arrival, [conn, piece = ByteSlice{buf, offset, chunk}] {
-      if (!conn->client_alive() || conn->behavior() == nullptr) {
-        return;
-      }
-      conn->add_bytes_received(piece.len);
-      conn->behavior()->OnData(*conn, piece.bytes());
-    });
+    uplink_.Push(arrival, ByteSlice{buf, offset, chunk});
   }
 }
 
@@ -334,13 +327,7 @@ void SocketChannel::Close() {
   moputil::SimTime now = ctx_->loop()->Now();
   ctx_->capture().Record(now, CaptureEvent::kTcpFin, CaptureDir::kOut, local_, remote_);
   if (server_conn_) {
-    auto conn = server_conn_;
-    moputil::SimTime arrival = std::max(now + data_one_way_, last_server_delivery_ + 1);
-    ctx_->loop()->ScheduleAt(arrival, [conn] {
-      if (conn->behavior() != nullptr) {
-        conn->behavior()->OnHalfClose(*conn);
-      }
-    });
+    uplink_.Push(std::max(now + data_one_way_, last_server_delivery_ + 1), ByteSlice{});
   }
   state_ = state_ == ChannelState::kPeerClosed ? ChannelState::kClosed
                                                : ChannelState::kLocalClosed;
@@ -359,7 +346,7 @@ void SocketChannel::Reset() {
         conn->behavior()->OnClosed(*conn);
       }
     });
-    server_conn_.reset();
+    DropServerConn();
   }
   state_ = ChannelState::kClosed;
 }
@@ -459,12 +446,49 @@ void SocketChannel::ServerReset() {
   moputil::SimTime now = ctx_->loop()->Now();
   ctx_->capture().Record(now, CaptureEvent::kTcpRst, CaptureDir::kIn, local_, remote_);
   state_ = ChannelState::kClosed;
-  server_conn_.reset();
+  DropServerConn();
   if (selector_ != nullptr) {
     EmitEvent(SocketEventType::kReset);
   } else if (on_reset) {
     on_reset();
   }
+}
+
+void SocketChannel::DropServerConn() {
+  server_conn_.reset();
+  ToServer& up = uplink_.sink();
+  up.release_after = uplink_.queued();
+  if (up.release_after == 0) {
+    up.conn.reset();
+  }
+}
+
+void SocketChannel::ToClient::operator()(ByteSlice& piece) const {
+  if (auto ch = channel.lock()) {
+    if (piece.buf != nullptr) {
+      ch->DeliverFromServer(std::move(piece));
+    } else {
+      ch->ServerClosed();
+    }
+  }
+}
+
+void SocketChannel::ToServer::operator()(ByteSlice& piece) {
+  std::shared_ptr<ServerConn> c = conn;  // alive through this piece
+  if (release_after > 0 && --release_after == 0) {
+    conn.reset();
+  }
+  if (piece.buf == nullptr) {  // half-close
+    if (c->behavior() != nullptr) {
+      c->behavior()->OnHalfClose(*c);
+    }
+    return;
+  }
+  if (!c->client_alive() || c->behavior() == nullptr) {
+    return;
+  }
+  c->add_bytes_received(piece.len);
+  c->behavior()->OnData(*c, piece.bytes());
 }
 
 // ---------------- UdpSocket ----------------

@@ -14,6 +14,15 @@
 // (ServerConn::SendBytes) all view one process-wide buffer of kMss + 256
 // bytes holding i & 0xff at index i: the piece at stream offset o starts at
 // o & 0xff, so it carries exactly the bytes o, o+1, ... (mod 256).
+//
+// Each wire direction of a connection is one mopsim::EventStream of pieces
+// (a null-buffer piece is the FIN). Client-bound pieces and the server's FIN
+// arrive at times forced monotone by last_client_delivery_; server-bound
+// pieces arrive at departure from the shared FIFO uplink plus the fixed
+// data_one_way_, and the half-close is pushed after the last of them. Both
+// streams thus push non-decreasing times, so they run at the same instants
+// and in the same order as one scheduled event per piece did. Resets,
+// handshake steps and timers stay plain events.
 #ifndef MOPEYE_NET_SOCKET_H_
 #define MOPEYE_NET_SOCKET_H_
 
@@ -27,6 +36,7 @@
 #include "net/net_context.h"
 #include "net/server.h"
 #include "netpkt/ip.h"
+#include "sim/event_loop.h"
 #include "util/status.h"
 
 namespace mopnet {
@@ -150,6 +160,23 @@ class SocketChannel : public std::enable_shared_from_this<SocketChannel> {
   void DeliverFromServer(ByteSlice piece);
   void ServerClosed();
   void ServerReset();
+  // The channel's side of the connection ended (reset either way).
+  void DropServerConn();
+
+  // Wire-arrival sinks of the two streams.
+  struct ToClient {
+    using Item = ByteSlice;
+    std::weak_ptr<SocketChannel> channel;
+    void operator()(ByteSlice& piece) const;
+  };
+  struct ToServer {
+    using Item = ByteSlice;
+    // Set at accept. Queued pieces keep the conn alive: once the channel
+    // lets go of it, the last `release_after` pieces still reach it.
+    std::shared_ptr<ServerConn> conn;
+    size_t release_after = 0;
+    void operator()(ByteSlice& piece);
+  };
 
   NetContext* ctx_;
   ChannelState state_ = ChannelState::kCreated;
@@ -177,6 +204,8 @@ class SocketChannel : public std::enable_shared_from_this<SocketChannel> {
   moputil::SimTime last_server_delivery_ = 0;
 
   std::shared_ptr<ServerConn> server_conn_;
+  mopsim::EventStream<ToClient> downlink_;
+  mopsim::EventStream<ToServer> uplink_;
 
   Selector* selector_ = nullptr;
   uint32_t interest_ = 0;

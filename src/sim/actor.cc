@@ -8,9 +8,7 @@
 namespace mopsim {
 
 ActorLane::ActorLane(EventLoop* loop, std::string name)
-    : loop_(loop),
-      name_(std::move(name)),
-      log_token_(std::make_shared<const std::string>(name_)) {
+    : loop_(loop), tasks_(loop, RunTask{std::move(name)}) {
   MOP_CHECK(loop != nullptr);
 }
 
@@ -33,25 +31,30 @@ class ScopedLaneToken {
 };
 }  // namespace
 
-void ActorLane::Submit(SimDuration wake_latency, SimDuration service,
-                       std::function<void(SimTime, SimTime)> fn) {
+void ActorLane::RunTask::operator()(Item& task) const {
+  ScopedLaneToken lane_token(name.c_str());
+  task();
+}
+
+SimTime ActorLane::Book(SimDuration wake_latency, SimDuration service) {
   MOP_CHECK_GE(wake_latency, 0);
   MOP_CHECK_GE(service, 0);
   SimTime start = std::max(loop_->Now() + wake_latency, free_at_);
-  SimTime end = start + service;
-  free_at_ = end;
+  free_at_ = start + service;
   busy_time_ += service;
   ++tasks_run_;
-  loop_->ScheduleAt(end, [fn = std::move(fn), token = log_token_, start, end] {
-    ScopedLaneToken lane_token(token->c_str());
-    fn(start, end);
-  });
+  return free_at_;
+}
+
+void ActorLane::Submit(SimDuration wake_latency, SimDuration service,
+                       std::function<void(SimTime, SimTime)> fn) {
+  SimTime end = Book(wake_latency, service);
+  tasks_.Push(end, [fn = std::move(fn), start = end - service, end] { fn(start, end); });
 }
 
 void ActorLane::Submit(SimDuration wake_latency, SimDuration service,
                        std::function<void()> fn) {
-  Submit(wake_latency, service,
-         [fn = std::move(fn)](SimTime, SimTime) { fn(); });
+  tasks_.Push(Book(wake_latency, service), std::move(fn));
 }
 
 }  // namespace mopsim

@@ -7,11 +7,18 @@
 // task that arrives while the lane is busy queues behind it. This is what
 // makes "the selector event was delayed several ms because MainWorker was
 // busy" (challenge C2, §2.4) an emergent property rather than a constant.
+//
+// A lane's tasks form one EventStream: each task ends at
+// max(now + wake, free_at) + service, and free_at is the previous task's end,
+// so end times never fall and the stream invariant holds by construction.
+// Tasks therefore run at the same instants and in the same order as if each
+// were scheduled on its own, with one heap entry per busy lane. A task still
+// runs if its lane is destroyed first (connect and DNS lanes retire while
+// their last tasks are queued).
 #ifndef MOPEYE_SIM_ACTOR_H_
 #define MOPEYE_SIM_ACTOR_H_
 
 #include <functional>
-#include <memory>
 #include <string>
 
 #include "sim/event_loop.h"
@@ -39,15 +46,23 @@ class ActorLane {
   SimDuration busy_time() const { return busy_time_; }
   SimTime free_at() const { return free_at_; }
   bool IsBusyAt(SimTime t) const { return t < free_at_; }
-  const std::string& name() const { return name_; }
+  const std::string& name() const { return tasks_.sink().name; }
   size_t tasks_run() const { return tasks_run_; }
 
  private:
+  // Runs each task under the lane's name as the log-prefix lane token. The
+  // name lives in the stream, so it outlives a retired lane's queued tasks.
+  struct RunTask {
+    using Item = std::function<void()>;
+    std::string name;
+    void operator()(Item& task) const;
+  };
+
+  // Books the lane for one task; returns its end time.
+  SimTime Book(SimDuration wake_latency, SimDuration service);
+
   EventLoop* loop_;
-  std::string name_;
-  // The lane name, shared into scheduled closures so the log-prefix lane
-  // token stays valid even if a task outlives its (retired) lane.
-  std::shared_ptr<const std::string> log_token_;
+  EventStream<RunTask> tasks_;
   SimTime free_at_ = 0;
   SimDuration busy_time_ = 0;
   size_t tasks_run_ = 0;

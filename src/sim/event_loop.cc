@@ -1,5 +1,7 @@
 #include "sim/event_loop.h"
 
+#include <algorithm>
+
 #include "util/logging.h"
 
 namespace mopsim {
@@ -23,6 +25,59 @@ class ScopedLogClock {
 };
 }  // namespace
 
+namespace internal {
+
+SimTime StreamCore::Now() const { return loop_->now_; }
+
+uint64_t StreamCore::TakeSeq() {
+  ++loop_->pending_;
+  return loop_->next_seq_++;
+}
+
+void StreamCore::Queue(std::shared_ptr<StreamCore> self, SimTime when, uint64_t seq) {
+  EventLoop& loop = *loop_;
+  if (loop.free_streams_.empty()) {
+    index_ = static_cast<uint32_t>(loop.streams_.size());
+    MOP_CHECK_LT(index_, EventLoop::kStreamTag);
+    loop.streams_.push_back(std::move(self));
+  } else {
+    index_ = loop.free_streams_.back();
+    loop.free_streams_.pop_back();
+    loop.streams_[index_] = std::move(self);
+  }
+  queued_ = true;
+  loop.PushEntry({when, seq, EventLoop::kStreamTag | index_});
+}
+
+void StreamCore::Requeue(SimTime when, uint64_t seq) {
+  loop_->PushEntry({when, seq, EventLoop::kStreamTag | index_});
+}
+
+void StreamCore::Retire() {
+  queued_ = false;
+  loop_->streams_[index_].reset();  // RunOne still holds a reference
+  loop_->free_streams_.push_back(index_);
+}
+
+}  // namespace internal
+
+EventLoop::~EventLoop() {
+  // A queued entry may own the last reference to its own stream's owner (a
+  // task capturing the object that holds the lane), so the entries go first;
+  // the cores then die with their last reference.
+  std::vector<std::shared_ptr<internal::StreamCore>> streams = std::move(streams_);
+  for (const auto& core : streams) {
+    if (core) {
+      core->Clear();
+    }
+  }
+}
+
+void EventLoop::PushEntry(Entry e) {
+  heap_.push(e);
+  peak_heap_depth_ = std::max(peak_heap_depth_, heap_.size());
+}
+
 TimerId EventLoop::Schedule(SimDuration delay, std::function<void()> fn) {
   MOP_CHECK_GE(delay, 0) << "negative event delay";
   return ScheduleAt(now_ + delay, std::move(fn));
@@ -43,7 +98,7 @@ TimerId EventLoop::ScheduleAt(SimTime when, std::function<void()> fn) {
   Slot& s = slots_[slot];
   s.fn = std::move(fn);
   s.armed = true;
-  heap_.push(Entry{when, next_seq_++, slot});
+  PushEntry({when, next_seq_++, slot});
   ++pending_;
   return (static_cast<TimerId>(s.generation) << 32) | slot;
 }
@@ -69,6 +124,13 @@ bool EventLoop::RunOne(SimTime limit) {
       return false;
     }
     heap_.pop();
+    if (top.slot & kStreamTag) {
+      std::shared_ptr<internal::StreamCore> core = streams_[top.slot & ~kStreamTag];
+      --pending_;
+      now_ = top.when;
+      core->RunHead();
+      return true;
+    }
     Slot& s = slots_[top.slot];
     bool armed = s.armed;
     std::function<void()> fn = std::move(s.fn);

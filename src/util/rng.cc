@@ -98,23 +98,23 @@ double Rng::Exponential(double mean) {
   return -mean * std::log(u);
 }
 
-size_t Rng::WeightedIndex(const std::vector<double>& weights) {
-  assert(!weights.empty());
-  double total = 0;
+WeightedCdf::WeightedCdf(const std::vector<double>& weights) {
+  prefix_.reserve(weights.size());
+  double acc = 0;
   for (double w : weights) {
     assert(w >= 0);
-    total += w;
+    acc += w;
+    prefix_.push_back(acc);
   }
-  assert(total > 0);
-  double r = NextDouble() * total;
-  double acc = 0;
-  for (size_t i = 0; i < weights.size(); ++i) {
-    acc += weights[i];
-    if (r < acc) {
-      return i;
-    }
-  }
-  return weights.size() - 1;
+}
+
+size_t Rng::WeightedIndex(const WeightedCdf& cdf) {
+  const std::vector<double>& prefix = cdf.prefix();
+  assert(!prefix.empty() && prefix.back() > 0);
+  double r = NextDouble() * prefix.back();
+  // Prefix sums never fall, so the first r < prefix[i] is the upper bound.
+  auto it = std::upper_bound(prefix.begin(), prefix.end(), r);
+  return it == prefix.end() ? prefix.size() - 1 : static_cast<size_t>(it - prefix.begin());
 }
 
 SimDuration UniformDelay::Sample(Rng& rng) {
@@ -137,14 +137,16 @@ SimDuration LogNormalDelay::Sample(Rng& rng) {
 
 MixtureDelay::MixtureDelay(std::vector<Component> components)
     : components_(std::move(components)) {
-  weights_.reserve(components_.size());
+  std::vector<double> weights;
+  weights.reserve(components_.size());
   for (const auto& c : components_) {
-    weights_.push_back(c.weight);
+    weights.push_back(c.weight);
   }
+  cdf_ = WeightedCdf(weights);
 }
 
 SimDuration MixtureDelay::Sample(Rng& rng) {
-  size_t idx = rng.WeightedIndex(weights_);
+  size_t idx = rng.WeightedIndex(cdf_);
   return components_[idx].model->Sample(rng);
 }
 

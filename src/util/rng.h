@@ -18,6 +18,19 @@ namespace moputil {
 // splitmix64: used to derive child seeds from a master seed.
 uint64_t SplitMix64(uint64_t& state);
 
+// Running sums of non-negative weights (not all zero), added in index order:
+// prefix()[i] = w[0] + ... + w[i]. Build once for repeated WeightedIndex draws
+// over the same weights.
+class WeightedCdf {
+ public:
+  WeightedCdf() = default;
+  explicit WeightedCdf(const std::vector<double>& weights);
+  const std::vector<double>& prefix() const { return prefix_; }
+
+ private:
+  std::vector<double> prefix_;
+};
+
 // PCG32 (pcg_xsh_rr_64_32). Small, fast, statistically solid, and stable.
 class Rng {
  public:
@@ -44,8 +57,13 @@ class Rng {
   double LogNormalMedian(double median, double sigma);
   // Exponential with the given mean.
   double Exponential(double mean);
-  // Samples an index according to `weights` (need not be normalized).
-  size_t WeightedIndex(const std::vector<double>& weights);
+  // Samples an index according to `weights` (need not be normalized): the
+  // first i with r < prefix()[i], for r uniform in [0, total).
+  size_t WeightedIndex(const WeightedCdf& cdf);
+  // One-off draw; builds the CDF on the spot (same draw as above).
+  size_t WeightedIndex(const std::vector<double>& weights) {
+    return WeightedIndex(WeightedCdf(weights));
+  }
 
  private:
   uint64_t state_;
@@ -112,7 +130,7 @@ class MixtureDelay : public DelayModel {
 
  private:
   std::vector<Component> components_;
-  std::vector<double> weights_;
+  WeightedCdf cdf_;
 };
 
 }  // namespace moputil

@@ -881,6 +881,40 @@ TEST(EngineLaneEgress, SendThenCloseDeliversEveryByte) {
   }
 }
 
+// The simulated kernel queues every MSS piece of a bulk send as its own
+// pending event, but each connection's client-bound pieces are one ordered
+// stream, so the heap holds one head per stream rather than every piece.
+TEST(EngineScaled, BulkDownloadsKeepTheHeapShallow) {
+  constexpr int kConns = 48;
+  constexpr size_t kBytes = 1 << 20;
+  WorldOptions opts;
+  opts.uplink_bps = 10e9;
+  opts.downlink_bps = 10e9;
+  TestWorld w(opts);
+  ASSERT_TRUE(w.StartEngine(mopbase::ScaledConfig(8)).ok());
+  auto* app = w.MakeApp(10192, "com.example.bulk", "Bulk");
+  std::vector<std::shared_ptr<mopapps::AppConn>> conns;
+  size_t received = 0;
+  for (int i = 0; i < kConns; ++i) {
+    auto addr = w.AddServer(moppkt::IpAddr(93, 46, 0, static_cast<uint8_t>(1 + i)), 80,
+                            Millis(5), [bytes = kBytes] {
+                              return std::make_unique<mopnet::BulkSourceBehavior>(bytes);
+                            });
+    auto c = std::shared_ptr<mopapps::AppConn>(app->CreateConn().release());
+    c->on_data = [&received](size_t n) { received += n; };
+    c->Connect(addr, [](moputil::Status st) { ASSERT_TRUE(st.ok()); });
+    conns.push_back(std::move(c));
+  }
+  size_t pending_peak = 0;
+  for (int ms = 0; ms < 5000 && received < kConns * kBytes; ++ms) {
+    w.RunMs(1);
+    pending_peak = std::max(pending_peak, w.loop().pending_events());
+  }
+  EXPECT_EQ(received, kConns * kBytes);
+  EXPECT_GT(pending_peak, 10000u);
+  EXPECT_LT(w.loop().peak_heap_depth(), 1000u);
+}
+
 TEST(EngineIntegration, BrowsingSessionEndToEnd) {
   TestWorld w;
   ASSERT_TRUE(w.StartEngine().ok());

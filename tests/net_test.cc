@@ -194,6 +194,45 @@ TEST(SocketChannel, CloseDoesNotOvertakeQueuedUplinkData) {
   EXPECT_EQ(bytes_at_half_close, 100000u);
 }
 
+// Remembers its conn weakly and counts the bytes that reach it.
+class WeakConnCounter : public mopnet::ServerBehavior {
+ public:
+  WeakConnCounter(std::weak_ptr<mopnet::ServerConn>* conn, size_t* bytes)
+      : conn_(conn), bytes_(bytes) {}
+  void OnConnect(mopnet::ServerConn& conn) override { *conn_ = conn.weak_from_this(); }
+  void OnData(mopnet::ServerConn&, std::span<const uint8_t> data) override {
+    *bytes_ += data.size();
+  }
+
+ private:
+  std::weak_ptr<mopnet::ServerConn>* conn_;
+  size_t* bytes_;
+};
+
+// A client reset drops the channel's hold on its ServerConn, but pieces
+// still serializing on the uplink reach the server; the conn lives until the
+// last of them has been delivered, then goes away with the channel alive.
+TEST(SocketChannel, ResetKeepsTheConnForQueuedUplinkPiecesOnly) {
+  NetFixture f;  // 25 Mbps uplink: 100 kB takes 32 ms to serialize
+  IpAddr ip(93, 0, 0, 7);
+  std::weak_ptr<mopnet::ServerConn> conn;
+  size_t bytes = 0;
+  f.farm.AddTcpServer({ip, 80}, [&] { return std::make_unique<WeakConnCounter>(&conn, &bytes); });
+  auto ch = mopnet::SocketChannel::Create(&f.ctx);
+  ch->Connect({ip, 80}, [&](moputil::Status st) {
+    ASSERT_TRUE(st.ok());
+    ch->Write(std::vector<uint8_t>(100000, 0x5a));
+    ch->Reset();
+  });
+  f.loop.RunFor(Millis(30));
+  EXPECT_FALSE(conn.expired());
+  EXPECT_LT(bytes, 100000u);
+  f.loop.Run();
+  EXPECT_EQ(bytes, 100000u);
+  EXPECT_TRUE(conn.expired());
+  EXPECT_EQ(ch->state(), mopnet::ChannelState::kClosed);
+}
+
 // Connects to a SizeEncodedBehavior server, asks for `response` bytes and
 // runs until all of them sit unread in the channel's receive buffer.
 std::shared_ptr<mopnet::SocketChannel> ConnectAndBuffer(NetFixture& f, const IpAddr& ip,
