@@ -305,24 +305,14 @@ CollectorState CollectorServer::ExportState() const {
   std::sort(s.seen_telemetry.begin(), s.seen_telemetry.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   s.health = health_;
-  s.connections = counters_.connections;
-  s.frames = counters_.frames;
-  s.batches_ok = counters_.batches_ok;
-  s.batches_rejected = counters_.batches_rejected;
-  s.batches_duplicate = counters_.batches_duplicate;
-  s.records_ingested = counters_.records_ingested;
-  s.stream_errors = counters_.stream_errors;
-  s.telemetry_frames = counters_.telemetry_frames;
-  s.telemetry_duplicate = counters_.telemetry_duplicate;
-  s.telemetry_rejected = counters_.telemetry_rejected;
-  s.frames_skipped = counters_.frames_skipped;
+  s.counters = counters_;
   return s;
 }
 
 void CollectorServer::ImportState(CollectorState state) {
   if (recorder_ != nullptr) {
     recorder_->Record(0, TelemetryNow(), moptel::TraceKind::kSnapshot, "state-import",
-                      state.store.key_count(), state.records_ingested);
+                      state.store.key_count(), state.counters.records_ingested);
   }
   store_ = std::move(state.store);
   apps_ = std::move(state.apps);
@@ -347,18 +337,7 @@ void CollectorServer::ImportState(CollectorState state) {
     }
   }
   health_ = std::move(state.health);
-  counters_ = Counters();
-  counters_.connections = state.connections;
-  counters_.frames = state.frames;
-  counters_.batches_ok = state.batches_ok;
-  counters_.batches_rejected = state.batches_rejected;
-  counters_.batches_duplicate = state.batches_duplicate;
-  counters_.records_ingested = state.records_ingested;
-  counters_.stream_errors = state.stream_errors;
-  counters_.telemetry_frames = state.telemetry_frames;
-  counters_.telemetry_duplicate = state.telemetry_duplicate;
-  counters_.telemetry_rejected = state.telemetry_rejected;
-  counters_.frames_skipped = state.frames_skipped;
+  counters_ = state.counters;
 }
 
 void CollectorServer::NotifyDurable() {
@@ -409,8 +388,9 @@ void CollectorServer::IngestBatch(const WireBatch& batch) {
     uint16_t country = rec.country_idx == kNoIndex ? kNoneId : country_map[rec.country_idx];
     double rtt = rec.rtt_ms;
 
-    // Fine-grained key plus the two wildcard rollups (P² sketches cannot be
-    // merged later, so the rollups fold in at ingest time).
+    // Fine-grained key plus the two wildcard rollups: folding the rollups
+    // here keeps per-app and per-ISP queries O(rollup keys), with no entry
+    // merging at query time.
     const AggregateKey keys[3] = {{app, isp, country, rec.net_type, rec.kind},
                                   {app, kAnyId, kAnyId, kAnyByte, rec.kind},
                                   {kAnyId, isp, kAnyId, rec.net_type, rec.kind}};

@@ -70,6 +70,23 @@ struct CollectorOptions {
   bool telemetry_ingest = true;
 };
 
+// Ingest counters: live on CollectorServer, persisted whole in snapshots.
+struct CollectorCounters {
+  uint64_t connections = 0;
+  uint64_t frames = 0;
+  uint64_t batches_ok = 0;
+  uint64_t batches_rejected = 0;
+  uint64_t batches_duplicate = 0;  // re-deliveries acked without ingesting
+  uint64_t records_ingested = 0;
+  uint64_t stream_errors = 0;        // framing violations (oversized prefix, ...)
+  uint64_t telemetry_frames = 0;     // telemetry frames decoded and folded
+  uint64_t telemetry_duplicate = 0;  // telemetry re-deliveries not re-folded
+  uint64_t telemetry_rejected = 0;   // malformed telemetry frames (conn closed)
+  uint64_t frames_skipped = 0;       // unknown/disabled frame types skipped
+
+  bool operator==(const CollectorCounters&) const = default;
+};
+
 // The collector state a snapshot captures: the aggregate store, the global
 // interners the keys index into, the ingest counters, and the per-device
 // duplicate-delivery windows (without which a restart would re-fold batches
@@ -89,35 +106,11 @@ struct CollectorState {
   // Crowd health rollups (exact; see health_store.h). Restored whole so a
   // collector restart keeps its crowd-health history.
   HealthStore health;
-  uint64_t connections = 0;
-  uint64_t frames = 0;
-  uint64_t batches_ok = 0;
-  uint64_t batches_rejected = 0;
-  uint64_t batches_duplicate = 0;
-  uint64_t records_ingested = 0;
-  uint64_t stream_errors = 0;
-  uint64_t telemetry_frames = 0;
-  uint64_t telemetry_duplicate = 0;
-  uint64_t telemetry_rejected = 0;
-  uint64_t frames_skipped = 0;
+  CollectorCounters counters;
 };
 
 class CollectorServer {
  public:
-  struct Counters {
-    uint64_t connections = 0;
-    uint64_t frames = 0;
-    uint64_t batches_ok = 0;
-    uint64_t batches_rejected = 0;
-    uint64_t batches_duplicate = 0;  // re-deliveries acked without ingesting
-    uint64_t records_ingested = 0;
-    uint64_t stream_errors = 0;  // framing violations (oversized prefix, ...)
-    uint64_t telemetry_frames = 0;     // telemetry frames decoded and folded
-    uint64_t telemetry_duplicate = 0;  // telemetry re-deliveries not re-folded
-    uint64_t telemetry_rejected = 0;   // malformed telemetry frames (conn closed)
-    uint64_t frames_skipped = 0;       // unknown/disabled frame types skipped
-  };
-
   // Bounds of the duplicate-delivery state (see seen_batches_ below).
   static constexpr size_t kSeenBatchWindow = 1024;
   static constexpr size_t kMaxTrackedDevices = 1 << 16;
@@ -205,7 +198,7 @@ class CollectorServer {
   moputil::Status IngestTelemetry(std::span<const uint8_t> payload,
                                   std::vector<uint64_t>* trace_ids_out);
 
-  const Counters& counters() const { return counters_; }
+  const CollectorCounters& counters() const { return counters_; }
   const AggregateStore& store() const { return store_; }
   const HealthStore& health() const { return health_; }
   const moptel::TraceStore& traces() const { return traces_; }
@@ -235,7 +228,7 @@ class CollectorServer {
   CollectorOptions opts_;
   AggregateStore store_;
   Interner apps_, isps_, countries_;
-  Counters counters_;
+  CollectorCounters counters_;
   mopcrowd::CrowdDataset dataset_;
   // device_id -> index into dataset_.devices() (retain mode only).
   std::unordered_map<uint32_t, size_t> device_index_;

@@ -16,6 +16,7 @@ using mopcollect::AggregateEntry;
 using mopcollect::AggregateKey;
 using mopcollect::AggregateStore;
 using mopcollect::ByteReader;
+using mopcollect::CollectorCounters;
 using mopcollect::CollectorServer;
 using mopcollect::CollectorState;
 
@@ -45,79 +46,88 @@ moputil::Status Corrupt(const char* what) {
   return moputil::InvalidArgument(moputil::StrFormat("corrupt snapshot: %s", what));
 }
 
-// Smallest possible serialized entry; bounds entry_count before the loop so
-// a forged count cannot make the decoder reserve unbounded memory.
-constexpr size_t kMinEntryBytes = 8 + 1 + (8 + 4 * 8) + 2 * (8 + 15 * 8) + (8 + 8 + 4 + 4);
+// Smallest possible serialized entry (key, stats, empty log sketch); bounds
+// entry_count before the loop so a forged count cannot make the decoder
+// reserve unbounded memory.
+constexpr size_t kMinEntryBytes = 8 + 40 + 24;
 
-void PutP2(std::vector<uint8_t>* out, const moputil::P2Quantile& q) {
-  auto s = q.state();
-  mopcollect::PutU64(out, s.count);
-  for (double v : s.heights) {
-    mopcollect::PutF64(out, v);
-  }
-  for (double v : s.positions) {
-    mopcollect::PutF64(out, v);
-  }
-  for (double v : s.desired) {
-    mopcollect::PutF64(out, v);
+// The ingest counters in payload order. The static_assert catches a counter
+// added to CollectorCounters but not here.
+constexpr uint64_t CollectorCounters::*kCounterFields[] = {
+    &CollectorCounters::connections,         &CollectorCounters::frames,
+    &CollectorCounters::batches_ok,          &CollectorCounters::batches_rejected,
+    &CollectorCounters::batches_duplicate,   &CollectorCounters::records_ingested,
+    &CollectorCounters::stream_errors,       &CollectorCounters::telemetry_frames,
+    &CollectorCounters::telemetry_duplicate, &CollectorCounters::telemetry_rejected,
+    &CollectorCounters::frames_skipped,
+};
+static_assert(sizeof(CollectorCounters) == std::size(kCounterFields) * sizeof(uint64_t));
+
+using DedupWindows = std::vector<std::pair<uint32_t, std::vector<uint32_t>>>;
+
+void PutDedupWindows(std::vector<uint8_t>* out, const DedupWindows& windows) {
+  mopcollect::PutU32(out, static_cast<uint32_t>(windows.size()));
+  for (const auto& [device, seqs] : windows) {
+    mopcollect::PutU32(out, device);
+    mopcollect::PutU32(out, static_cast<uint32_t>(seqs.size()));
+    for (uint32_t seq : seqs) {
+      mopcollect::PutU32(out, seq);
+    }
   }
 }
 
-bool ReadP2(ByteReader* r, moputil::P2Quantile* q) {
-  moputil::P2Quantile::State s;
-  if (!r->ReadU64(&s.count)) {
-    return false;
+moputil::Status ReadDedupWindows(ByteReader* r, DedupWindows* windows) {
+  uint32_t device_count = 0;
+  if (!r->ReadU32(&device_count)) {
+    return Corrupt("truncated dedup section");
   }
-  for (double& v : s.heights) {
-    if (!r->ReadF64(&v)) {
-      return false;
+  if (device_count > CollectorServer::kMaxTrackedDevices) {
+    return Corrupt("dedup device count exceeds limit");
+  }
+  windows->reserve(device_count);
+  for (uint32_t d = 0; d < device_count; ++d) {
+    uint32_t device = 0, seq_count = 0;
+    if (!r->ReadU32(&device) || !r->ReadU32(&seq_count)) {
+      return Corrupt("truncated dedup device");
     }
-  }
-  for (double& v : s.positions) {
-    if (!r->ReadF64(&v)) {
-      return false;
+    if (seq_count > CollectorServer::kSeenBatchWindow) {
+      return Corrupt("dedup window exceeds limit");
     }
-  }
-  for (double& v : s.desired) {
-    if (!r->ReadF64(&v)) {
-      return false;
+    std::vector<uint32_t> seqs(seq_count);
+    for (uint32_t& seq : seqs) {
+      if (!r->ReadU32(&seq)) {
+        return Corrupt("truncated dedup sequence");
+      }
     }
+    windows->emplace_back(device, std::move(seqs));
   }
-  q->Restore(s);
-  return true;
+  return moputil::OkStatus();
+}
+
+// A key component must name an entry of its string table or be a sentinel;
+// anything else would alias whatever name is interned next under that id.
+bool KeyIdValid(uint16_t id, const mopcollect::Interner& table) {
+  return id == mopcollect::kNoneId || id == mopcollect::kAnyId || id < table.size();
 }
 
 }  // namespace
 
 std::vector<uint8_t> EncodeSnapshot(const CollectorState& state) {
   std::vector<uint8_t> payload;
-  payload.reserve(1024 + state.store.key_count() * 512);
+  payload.reserve(1024 + state.store.key_count() * 384);
 
   mopcollect::EncodeStringTable(&payload, state.apps.names());
   mopcollect::EncodeStringTable(&payload, state.isps.names());
   mopcollect::EncodeStringTable(&payload, state.countries.names());
 
-  mopcollect::PutU64(&payload, state.connections);
-  mopcollect::PutU64(&payload, state.frames);
-  mopcollect::PutU64(&payload, state.batches_ok);
-  mopcollect::PutU64(&payload, state.batches_rejected);
-  mopcollect::PutU64(&payload, state.batches_duplicate);
-  mopcollect::PutU64(&payload, state.records_ingested);
-  mopcollect::PutU64(&payload, state.stream_errors);
-
-  mopcollect::PutU32(&payload, static_cast<uint32_t>(state.seen_batches.size()));
-  for (const auto& [device, seqs] : state.seen_batches) {
-    mopcollect::PutU32(&payload, device);
-    mopcollect::PutU32(&payload, static_cast<uint32_t>(seqs.size()));
-    for (uint32_t seq : seqs) {
-      mopcollect::PutU32(&payload, seq);
-    }
+  for (auto field : kCounterFields) {
+    mopcollect::PutU64(&payload, state.counters.*field);
   }
+  PutDedupWindows(&payload, state.seen_batches);
+  PutDedupWindows(&payload, state.seen_telemetry);
 
   mopcollect::PutU32(&payload, static_cast<uint32_t>(state.store.shard_count()));
-  mopcollect::PutU8(&payload, state.store.merged() ? 1 : 0);
   mopcollect::PutU64(&payload, state.store.samples_folded());
-
   auto entries = state.store.Match();
   std::sort(entries.begin(), entries.end(), [](const auto& a, const auto& b) {
     return a.first.Packed() < b.first.Packed();
@@ -125,15 +135,12 @@ std::vector<uint8_t> EncodeSnapshot(const CollectorState& state) {
   mopcollect::PutU32(&payload, static_cast<uint32_t>(entries.size()));
   for (const auto& [key, entry] : entries) {
     mopcollect::PutU64(&payload, key.Packed());
-    mopcollect::PutU8(&payload, entry->merged ? 1 : 0);
     auto stats = entry->stats.state();
     mopcollect::PutU64(&payload, stats.count);
     mopcollect::PutF64(&payload, stats.mean);
     mopcollect::PutF64(&payload, stats.m2);
     mopcollect::PutF64(&payload, stats.min);
     mopcollect::PutF64(&payload, stats.max);
-    PutP2(&payload, entry->p50);
-    PutP2(&payload, entry->p95);
     auto log = entry->quantiles.state();
     mopcollect::PutU64(&payload, log.total);
     mopcollect::PutU64(&payload, log.zero_or_less);
@@ -144,76 +151,51 @@ std::vector<uint8_t> EncodeSnapshot(const CollectorState& state) {
     }
   }
 
-  // ---- v2 sections: telemetry dedup, telemetry counters, crowd health ----
-  // A state with nothing to put in them encodes as a version-1 frame instead:
-  // bytes on disk stay identical to the pre-health format (telemetry off keeps
-  // every snapshot-size baseline byte-for-byte), and the v1 decode path runs
-  // on every default-config snapshot rather than only on archived files.
-  const bool needs_v2 = !state.seen_telemetry.empty() || state.telemetry_frames != 0 ||
-                        state.telemetry_duplicate != 0 || state.telemetry_rejected != 0 ||
-                        state.frames_skipped != 0 || state.health.metric_count() != 0 ||
-                        !state.health.devices().empty() || state.health.folds() != 0 ||
-                        state.health.conflicts() != 0;
-  if (needs_v2) {
-    mopcollect::PutU32(&payload, static_cast<uint32_t>(state.seen_telemetry.size()));
-    for (const auto& [device, seqs] : state.seen_telemetry) {
-      mopcollect::PutU32(&payload, device);
-      mopcollect::PutU32(&payload, static_cast<uint32_t>(seqs.size()));
-      for (uint32_t seq : seqs) {
-        mopcollect::PutU32(&payload, seq);
-      }
+  // HealthStore contents, name-sorted (SortedMetrics) and with std::map /
+  // std::set iteration orders inside each metric — canonical bytes for equal
+  // states, independent of shard count.
+  auto health_metrics = state.health.SortedMetrics();
+  mopcollect::PutU32(&payload, static_cast<uint32_t>(health_metrics.size()));
+  for (const auto& [name, metric] : health_metrics) {
+    mopcollect::PutU16(&payload, static_cast<uint16_t>(name->size()));
+    payload.insert(payload.end(), name->begin(), name->end());
+    mopcollect::PutU8(&payload, metric->kind);
+    mopcollect::PutU8(&payload, metric->merge);
+    switch (metric->kind) {
+      case 0:
+        mopcollect::PutU64(&payload, metric->counter);
+        break;
+      case 1:
+        mopcollect::PutU32(&payload, static_cast<uint32_t>(metric->gauges.size()));
+        for (const auto& [device, cell] : metric->gauges) {
+          mopcollect::PutU32(&payload, device);
+          mopcollect::PutU32(&payload, cell.seq);
+          mopcollect::PutU64(&payload, cell.value);
+        }
+        break;
+      default:
+        mopcollect::PutF64(&payload, metric->rel_err);
+        mopcollect::PutF64(&payload, metric->sum);
+        mopcollect::PutU64(&payload, metric->zero_or_less);
+        mopcollect::PutU32(&payload, static_cast<uint32_t>(metric->buckets.size()));
+        for (const auto& [idx, count] : metric->buckets) {
+          mopcollect::PutU32(&payload, std::bit_cast<uint32_t>(idx));
+          mopcollect::PutU64(&payload, count);
+        }
+        break;
     }
-    mopcollect::PutU64(&payload, state.telemetry_frames);
-    mopcollect::PutU64(&payload, state.telemetry_duplicate);
-    mopcollect::PutU64(&payload, state.telemetry_rejected);
-    mopcollect::PutU64(&payload, state.frames_skipped);
-
-    // HealthStore contents, name-sorted (SortedMetrics) and with std::map /
-    // std::set iteration orders inside each metric — canonical bytes for equal
-    // states, independent of shard count.
-    auto health_metrics = state.health.SortedMetrics();
-    mopcollect::PutU32(&payload, static_cast<uint32_t>(health_metrics.size()));
-    for (const auto& [name, metric] : health_metrics) {
-      mopcollect::PutU16(&payload, static_cast<uint16_t>(name->size()));
-      payload.insert(payload.end(), name->begin(), name->end());
-      mopcollect::PutU8(&payload, metric->kind);
-      mopcollect::PutU8(&payload, metric->merge);
-      switch (metric->kind) {
-        case 0:
-          mopcollect::PutU64(&payload, metric->counter);
-          break;
-        case 1:
-          mopcollect::PutU32(&payload, static_cast<uint32_t>(metric->gauges.size()));
-          for (const auto& [device, cell] : metric->gauges) {
-            mopcollect::PutU32(&payload, device);
-            mopcollect::PutU32(&payload, cell.seq);
-            mopcollect::PutU64(&payload, cell.value);
-          }
-          break;
-        default:
-          mopcollect::PutF64(&payload, metric->rel_err);
-          mopcollect::PutF64(&payload, metric->sum);
-          mopcollect::PutU64(&payload, metric->zero_or_less);
-          mopcollect::PutU32(&payload, static_cast<uint32_t>(metric->buckets.size()));
-          for (const auto& [idx, count] : metric->buckets) {
-            mopcollect::PutU32(&payload, std::bit_cast<uint32_t>(idx));
-            mopcollect::PutU64(&payload, count);
-          }
-          break;
-      }
-    }
-    mopcollect::PutU32(&payload, static_cast<uint32_t>(state.health.devices().size()));
-    for (uint32_t device : state.health.devices()) {
-      mopcollect::PutU32(&payload, device);
-    }
-    mopcollect::PutU64(&payload, state.health.folds());
-    mopcollect::PutU64(&payload, state.health.conflicts());
   }
+  mopcollect::PutU32(&payload, static_cast<uint32_t>(state.health.devices().size()));
+  for (uint32_t device : state.health.devices()) {
+    mopcollect::PutU32(&payload, device);
+  }
+  mopcollect::PutU64(&payload, state.health.folds());
+  mopcollect::PutU64(&payload, state.health.conflicts());
 
   std::vector<uint8_t> out;
   out.reserve(11 + payload.size());
   mopcollect::PutU16(&out, kSnapshotMagic);
-  mopcollect::PutU8(&out, needs_v2 ? kSnapshotVersion : 1);
+  mopcollect::PutU8(&out, kSnapshotVersion);
   mopcollect::PutU32(&out, static_cast<uint32_t>(payload.size()));
   out.insert(out.end(), payload.begin(), payload.end());
   mopcollect::PutU32(&out, Crc32(payload));
@@ -231,7 +213,7 @@ moputil::Result<CollectorState> DecodeSnapshot(std::span<const uint8_t> bytes) {
   if (magic != kSnapshotMagic) {
     return Corrupt("bad magic");
   }
-  if (version == 0 || version > kSnapshotVersion) {
+  if (version != kSnapshotVersion) {
     return moputil::InvalidArgument(
         moputil::StrFormat("unsupported snapshot version %u", static_cast<unsigned>(version)));
   }
@@ -272,51 +254,26 @@ moputil::Result<CollectorState> DecodeSnapshot(std::span<const uint8_t> bytes) {
     return Corrupt("duplicate interner names");
   }
 
-  if (!r.ReadU64(&state.connections) || !r.ReadU64(&state.frames) ||
-      !r.ReadU64(&state.batches_ok) || !r.ReadU64(&state.batches_rejected) ||
-      !r.ReadU64(&state.batches_duplicate) || !r.ReadU64(&state.records_ingested) ||
-      !r.ReadU64(&state.stream_errors)) {
-    return Corrupt("truncated counters");
-  }
-
-  uint32_t device_count = 0;
-  if (!r.ReadU32(&device_count)) {
-    return Corrupt("truncated dedup section");
-  }
-  if (device_count > CollectorServer::kMaxTrackedDevices) {
-    return Corrupt("dedup device count exceeds limit");
-  }
-  state.seen_batches.reserve(device_count);
-  for (uint32_t d = 0; d < device_count; ++d) {
-    uint32_t device = 0, seq_count = 0;
-    if (!r.ReadU32(&device) || !r.ReadU32(&seq_count)) {
-      return Corrupt("truncated dedup device");
+  for (auto field : kCounterFields) {
+    if (!r.ReadU64(&(state.counters.*field))) {
+      return Corrupt("truncated counters");
     }
-    if (seq_count > CollectorServer::kSeenBatchWindow) {
-      return Corrupt("dedup window exceeds limit");
-    }
-    std::vector<uint32_t> seqs(seq_count);
-    for (uint32_t& seq : seqs) {
-      if (!r.ReadU32(&seq)) {
-        return Corrupt("truncated dedup sequence");
-      }
-    }
-    state.seen_batches.emplace_back(device, std::move(seqs));
+  }
+  if (auto st = ReadDedupWindows(&r, &state.seen_batches); !st.ok()) {
+    return st;
+  }
+  if (auto st = ReadDedupWindows(&r, &state.seen_telemetry); !st.ok()) {
+    return st;
   }
 
   uint32_t shard_count = 0;
-  uint8_t merged = 0;
   uint64_t samples_folded = 0;
   uint32_t entry_count = 0;
-  if (!r.ReadU32(&shard_count) || !r.ReadU8(&merged) || !r.ReadU64(&samples_folded) ||
-      !r.ReadU32(&entry_count)) {
+  if (!r.ReadU32(&shard_count) || !r.ReadU64(&samples_folded) || !r.ReadU32(&entry_count)) {
     return Corrupt("truncated store header");
   }
   if (shard_count == 0 || shard_count > 65536) {
     return Corrupt("bad shard count");
-  }
-  if (merged > 1) {
-    return Corrupt("bad merged flag");
   }
   if (entry_count > r.remaining() / kMinEntryBytes) {
     return Corrupt("entry count exceeds payload");
@@ -325,19 +282,18 @@ moputil::Result<CollectorState> DecodeSnapshot(std::span<const uint8_t> bytes) {
   state.store = AggregateStore(shard_count);
   for (uint32_t i = 0; i < entry_count; ++i) {
     uint64_t packed = 0;
-    uint8_t entry_merged = 0;
-    if (!r.ReadU64(&packed) || !r.ReadU8(&entry_merged)) {
+    if (!r.ReadU64(&packed)) {
       return Corrupt("truncated entry");
     }
-    if (entry_merged > 1) {
-      return Corrupt("bad entry merged flag");
-    }
     AggregateKey key = AggregateKey::Unpack(packed);
+    if (!KeyIdValid(key.app_id, state.apps) || !KeyIdValid(key.isp_id, state.isps) ||
+        !KeyIdValid(key.country_id, state.countries)) {
+      return Corrupt("entry key id outside its string table");
+    }
     if (state.store.Find(key) != nullptr) {
       return Corrupt("duplicate entry key");
     }
     AggregateEntry& entry = state.store.MutableEntry(key);
-    entry.merged = entry_merged != 0;
 
     moputil::OnlineStats::State stats;
     if (!r.ReadU64(&stats.count) || !r.ReadF64(&stats.mean) || !r.ReadF64(&stats.m2) ||
@@ -345,10 +301,6 @@ moputil::Result<CollectorState> DecodeSnapshot(std::span<const uint8_t> bytes) {
       return Corrupt("truncated entry stats");
     }
     entry.stats.Restore(stats);
-
-    if (!ReadP2(&r, &entry.p50) || !ReadP2(&r, &entry.p95)) {
-      return Corrupt("truncated entry P2 markers");
-    }
 
     moputil::LogQuantile::State log;
     uint32_t lo_bits = 0, bucket_count = 0;
@@ -375,47 +327,6 @@ moputil::Result<CollectorState> DecodeSnapshot(std::span<const uint8_t> bytes) {
     entry.quantiles.Restore(std::move(log));
   }
   state.store.set_samples_folded(samples_folded);
-  state.store.set_merged(merged != 0);
-
-  if (version == 1) {
-    // A pre-health snapshot: its payload ends here. The health sections stay
-    // default-empty, exactly the state such a collector had.
-    if (r.remaining() != 0) {
-      return Corrupt("trailing bytes in payload");
-    }
-    return state;
-  }
-
-  // ---- v2 sections ----
-  uint32_t telemetry_device_count = 0;
-  if (!r.ReadU32(&telemetry_device_count)) {
-    return Corrupt("truncated telemetry dedup section");
-  }
-  if (telemetry_device_count > CollectorServer::kMaxTrackedDevices) {
-    return Corrupt("telemetry dedup device count exceeds limit");
-  }
-  state.seen_telemetry.reserve(telemetry_device_count);
-  for (uint32_t d = 0; d < telemetry_device_count; ++d) {
-    uint32_t device = 0, seq_count = 0;
-    if (!r.ReadU32(&device) || !r.ReadU32(&seq_count)) {
-      return Corrupt("truncated telemetry dedup device");
-    }
-    if (seq_count > CollectorServer::kSeenBatchWindow) {
-      return Corrupt("telemetry dedup window exceeds limit");
-    }
-    std::vector<uint32_t> seqs(seq_count);
-    for (uint32_t& seq : seqs) {
-      if (!r.ReadU32(&seq)) {
-        return Corrupt("truncated telemetry dedup sequence");
-      }
-    }
-    state.seen_telemetry.emplace_back(device, std::move(seqs));
-  }
-
-  if (!r.ReadU64(&state.telemetry_frames) || !r.ReadU64(&state.telemetry_duplicate) ||
-      !r.ReadU64(&state.telemetry_rejected) || !r.ReadU64(&state.frames_skipped)) {
-    return Corrupt("truncated telemetry counters");
-  }
 
   // Health shard geometry follows the aggregate store's (both come from the
   // collector's opts.shards), so a decoded state deep-equals the exported one

@@ -1,31 +1,28 @@
 // Collector snapshot persistence.
 //
 // A snapshot is everything a collector must not lose across a restart: the
-// aggregate store (per-key counts, moments, P² markers, log buckets), the
-// global interners its keys index into, the ingest counters, and the
-// (device_id, batch_seq) duplicate-delivery windows. The last part is what
-// makes restart recovery fold-exact under at-least-once upload: a batch
-// whose ack was lost in the crash is re-sent by the device, and the restored
-// dedup window recognizes it instead of double-counting.
+// aggregate store (per-key counts, moments, log buckets), the global
+// interners its keys index into, the ingest counters, the per-device
+// duplicate-delivery windows, and the crowd-health rollups. The dedup windows
+// are what make restart recovery fold-exact under at-least-once upload: a
+// batch whose ack was lost in the crash is re-sent by the device, and the
+// restored dedup window recognizes it instead of double-counting.
 //
 // File format (little-endian, built from the wire.* codec primitives):
 //
 //   u16 magic "MS"  u8 version  u32 payload_len  payload  u32 crc32(payload)
 //
 //   payload := app/isp/country string tables        (wire string-table codec)
-//              7 x u64 ingest counters
-//              u32 device_count, then per device:
+//              11 x u64 ingest counters             (CollectorCounters order)
+//              batch dedup windows, then telemetry dedup windows, each:
+//                u32 device_count, then per device (sorted by device id):
 //                u32 device_id, u32 seq_count, seq_count x u32 (oldest first)
-//              u32 shard_count, u8 merged, u64 samples_folded,
+//              u32 shard_count, u64 samples_folded,
 //              u32 entry_count, then per entry (sorted by packed key):
-//                u64 key, u8 merged,
+//                u64 key,
 //                stats  { u64 count, f64 mean, m2, min, max }
-//                p50/p95 P² { u64 count, 5 x f64 heights, positions, desired }
 //                log    { u64 total, u64 zero_or_less, i32 lo_index,
 //                         u32 n, n x u32 buckets }
-//              ---- end of the version-1 payload ----
-//              telemetry dedup windows (same shape as the batch windows)
-//              4 x u64 telemetry counters
 //              crowd health: u32 metric_count, then per metric (name-sorted):
 //                u16 name_len, name, u8 kind, u8 merge,
 //                kind 0: u64 counter
@@ -36,10 +33,11 @@
 //              u64 health_folds, u64 health_conflicts
 //
 // Loading is strictly bounds-checked: bad magic/version/CRC, any truncation,
-// table or bucket counts beyond their caps, or internal inconsistencies
-// (entry count vs log-bucket totals) yield an error Status and no partial
-// state. Writes go to `<path>.tmp` and rename into place, so a crash during
-// a write leaves the previous snapshot intact.
+// table or bucket counts beyond their caps, entry key ids outside their
+// string tables, or internal inconsistencies (entry count vs log-bucket
+// totals) yield an error Status and no partial state. Writes go to
+// `<path>.tmp` and rename into place, so a crash during a write leaves the
+// previous snapshot intact.
 #ifndef MOPEYE_FLEET_SNAPSHOT_H_
 #define MOPEYE_FLEET_SNAPSHOT_H_
 
@@ -56,13 +54,10 @@
 namespace mopfleet {
 
 constexpr uint16_t kSnapshotMagic = 0x534d;  // "MS"
-// v2 appends the crowd-health sections (telemetry dedup windows, telemetry
-// counters, HealthStore contents) after the v1 payload; the decoder still
-// reads v1 files (the v1 sections end exactly at the payload end, so "no
-// more bytes" is the version-1 terminator). The encoder downgrades to a
-// version-1 frame when every v2 section is empty, so telemetry-free
-// collectors keep writing byte-identical pre-health snapshots.
-constexpr uint8_t kSnapshotVersion = 2;
+// The only layout written and read. Versions 1 and 2 carried per-entry P²
+// markers and merged flags that no longer exist; the decoder rejects them
+// as unsupported (every snapshot a build loads was written by that build).
+constexpr uint8_t kSnapshotVersion = 3;
 // A collector's aggregate state is O(keys), a few MiB at crowd scale; a
 // length prefix beyond this is a corrupt or hostile file.
 constexpr size_t kMaxSnapshotPayload = 256u * 1024 * 1024;

@@ -47,7 +47,7 @@ void FleetView::Refresh() {
   for (const auto& state : offline_) {
     MergeSource(state.store, state.apps, state.isps, state.countries);
     health_.MergeFrom(state.health);
-    records_ingested_ += state.records_ingested;
+    records_ingested_ += state.counters.records_ingested;
   }
 }
 
@@ -94,22 +94,6 @@ AggregateKey FleetView::MakeKey(const std::string& app, const std::string& isp,
   key.net_type = net_type;
   key.kind = kind;
   return key;
-}
-
-moputil::Result<double> FleetView::MergedP2Median(const AggregateKey& key) const {
-  const auto* entry = merged_.Find(key);
-  if (entry == nullptr) {
-    return moputil::NotFound("no aggregate entry for key");
-  }
-  return entry->p2_median_ms();
-}
-
-moputil::Result<double> FleetView::MergedP2P95(const AggregateKey& key) const {
-  const auto* entry = merged_.Find(key);
-  if (entry == nullptr) {
-    return moputil::NotFound("no aggregate entry for key");
-  }
-  return entry->p2_p95_ms();
 }
 
 }  // namespace mopfleet
